@@ -1,14 +1,13 @@
 // Command nodbbench regenerates the figures of the NoDB paper's evaluation
 // section (§5, Figs 3-13) and prints their series as text tables. It also
-// runs this repo's own experiments: "scan" — parallel partitioned scan
-// throughput vs worker count — and "exec" — vectorized batch execution vs
-// row-at-a-time.
+// runs this repo's own experiments, e.g. "scan" — parallel partitioned
+// scan throughput vs worker count.
 //
 // Usage:
 //
 //	nodbbench -fig all                 # every figure at the default scale
 //	nodbbench -fig fig5,fig10          # a subset
-//	nodbbench -fig scan,exec           # this repo's perf microbenchmarks
+//	nodbbench -fig scan,profile        # this repo's perf microbenchmarks
 //	nodbbench -fig fig7 -scale small   # laptop-scale quick run
 //	nodbbench -workdir /data/nodb      # keep datasets between runs
 //	nodbbench -out ""                  # skip the BENCH_exec.json artifact

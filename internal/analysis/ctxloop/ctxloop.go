@@ -19,8 +19,8 @@
 //     contain a cancellation check: leaf scans are pulled one row or
 //     batch per call, so the check belongs in the method even when it
 //     has no loop. A method that delegates to another Next/NextBatch
-//     call (the RowBatcher/BatchRows adapter shape, which pulls back
-//     through the scan's own checked path) is exempt.
+//     call (an adapter shape, which pulls back through the scan's own
+//     checked path) is exempt.
 //  2. Every unbounded loop (`for {...}` / `for cond {...}`) that does
 //     real work (contains a call) must contain a cancellation check.
 //     Bounded three-clause and range loops iterate over one batch or

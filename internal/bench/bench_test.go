@@ -259,10 +259,10 @@ func TestFig13WidthDegradation(t *testing.T) {
 
 func TestRegistryAndPrint(t *testing.T) {
 	ids := FigureIDs()
-	if len(ids) != 18 {
+	if len(ids) != 17 {
 		t.Fatalf("figures = %v", ids)
 	}
-	if ids[0] != "fig3" || ids[len(ids)-7] != "fig13" || ids[len(ids)-6] != "exec" ||
+	if ids[0] != "fig3" || ids[len(ids)-6] != "fig13" ||
 		ids[len(ids)-5] != "formats" || ids[len(ids)-4] != "kernels" ||
 		ids[len(ids)-3] != "profile" || ids[len(ids)-2] != "scan" ||
 		ids[len(ids)-1] != "sidecar" {

@@ -25,7 +25,6 @@ var Figures = map[string]Runner{
 	"fig12":   Fig12,
 	"fig13":   Fig13,
 	"scan":    ScanScale,  // not in the paper: parallel-scan scaling
-	"exec":    ExecFig,    // not in the paper: vectorized vs row execution
 	"profile": ProfileFig, // not in the paper: qtrace profiling overhead
 	"formats": FormatsFig, // not in the paper: raw-format sources, cold vs warm
 	"kernels": KernelsFig, // not in the paper: compiled kernels + skeleton cache

@@ -1,16 +1,18 @@
 package core
 
 import (
+	"io"
 	"strings"
 	"testing"
 
+	"nodb/internal/datum"
 	"nodb/internal/exec"
+	"nodb/internal/schema"
 )
 
 // batchEquivQueries covers every shape the vectorized pipeline handles —
 // typed filter fast paths, BETWEEN/IN/LIKE/IS NULL, projection arithmetic,
-// hash and sort aggregation input, ORDER BY (row fallback above batches),
-// LIMIT truncation, and a residual (non-pushable) conjunct.
+// hash and sort aggregation input, ORDER BY, LIMIT truncation, and a residual (non-pushable) conjunct.
 var batchEquivQueries = []string{
 	"SELECT id, name FROM wide WHERE a = 3",
 	"SELECT id, c FROM wide WHERE b >= 300 AND c < 150.5",
@@ -23,38 +25,34 @@ var batchEquivQueries = []string{
 	"SELECT id FROM wide WHERE 1 = 1 AND id < 25",
 }
 
-// batchLimitQueries terminate the scan early. They must return identical
-// rows, but cumulative metrics are excluded from comparison: a truncated
-// batch scan has materialized (and counted) up to one batch of rows beyond
-// the limit, where the row path stops mid-tuple — the same reason the
-// parallel-scan tests exclude partial-progress counters after LIMIT.
+// batchLimitQueries terminate the scan early. Cumulative metrics are not
+// comparable after them: how far a scan reads past a limit depends on
+// batch shape and worker scheduling.
 var batchLimitQueries = []string{
 	"SELECT id FROM wide LIMIT 5",
 	"SELECT id, name FROM wide WHERE a = 3 LIMIT 4",
 }
 
-// runQuerySequence executes the query list twice — the first pass scans
-// raw (cold), the second exploits whatever the mode cached — snapshotting
-// rows and metrics after every query.
-func runQuerySequence(t *testing.T, e *Engine, queries []string) ([]*Result, []TableMetrics) {
+// loadFirstResults runs queries on a load-first engine over cat — the
+// conventional heap-scan engine, an independent reference for the in-situ
+// scans' answers.
+func loadFirstResults(t *testing.T, cat *schema.Catalog, queries []string) []*Result {
 	t.Helper()
-	var results []*Result
-	var metrics []TableMetrics
-	for pass := 0; pass < 2; pass++ {
-		for _, q := range queries {
-			results = append(results, mustQuery(t, e, q))
-			metrics = append(metrics, e.Metrics("wide"))
-		}
+	ref := openEngine(t, cat, Options{Mode: ModeLoadFirst})
+	out := make([]*Result, len(queries))
+	for i, q := range queries {
+		out[i] = mustQuery(t, ref, q)
 	}
-	return results, metrics
+	return out
 }
 
-// TestBatchRowEquivalence is the tentpole regression: for every in-situ
-// mode, the vectorized batch pipeline must produce byte-identical rows AND
-// byte-identical adaptive-structure metrics to row-at-a-time execution,
-// on both cold (raw-file) and warm (cache/positional-map) scans.
+// TestBatchRowEquivalence: for every in-situ mode, cold (raw-file) and
+// warm (cache/positional-map) passes must return exactly the rows the
+// load-first engine returns.
 func TestBatchRowEquivalence(t *testing.T) {
 	cat := buildFixture(t, t.TempDir(), 700)
+	queries := append(append([]string{}, batchEquivQueries...), batchLimitQueries...)
+	want := loadFirstResults(t, cat, queries)
 	modes := []Options{
 		{Mode: ModePMCache},
 		{Mode: ModePMCache, Statistics: true},
@@ -63,40 +61,24 @@ func TestBatchRowEquivalence(t *testing.T) {
 		{Mode: ModeExternalFiles},
 		{Mode: ModePMCache, CacheBudget: 1 << 14}, // eviction pressure
 	}
-	for _, base := range modes {
-		rowOpts := base
-		rowOpts.DisableVectorized = true
-		rowOpts.Parallelism = 1
-		batchOpts := base
-		batchOpts.Parallelism = 1
-		rowEng := openEngine(t, cat, rowOpts)
-		batchEng := openEngine(t, cat, batchOpts)
-		rowRes, rowM := runQuerySequence(t, rowEng, batchEquivQueries)
-		batchRes, batchM := runQuerySequence(t, batchEng, batchEquivQueries)
-		for i := range rowRes {
-			q := batchEquivQueries[i%len(batchEquivQueries)]
-			if !rowsEqual(rowRes[i].Rows, batchRes[i].Rows) {
-				t.Fatalf("mode %+v query %q (pass %d): rows differ\nrow:   %v\nbatch: %v",
-					base, q, i/len(batchEquivQueries), rowRes[i].Rows, batchRes[i].Rows)
-			}
-			if rowM[i] != batchM[i] {
-				t.Errorf("mode %+v query %q (pass %d): metrics differ\nrow:   %+v\nbatch: %+v",
-					base, q, i/len(batchEquivQueries), rowM[i], batchM[i])
-			}
-		}
-		for _, q := range batchLimitQueries {
-			a := mustQuery(t, rowEng, q)
-			b := mustQuery(t, batchEng, q)
-			if !rowsEqual(a.Rows, b.Rows) {
-				t.Fatalf("mode %+v query %q: rows differ\nrow:   %v\nbatch: %v", base, q, a.Rows, b.Rows)
+	for _, opts := range modes {
+		opts.Parallelism = 1
+		e := openEngine(t, cat, opts)
+		for pass := 0; pass < 2; pass++ {
+			for i, q := range queries {
+				if got := mustQuery(t, e, q); !rowsEqual(want[i].Rows, got.Rows) {
+					t.Fatalf("mode %+v query %q (pass %d): rows differ\nload-first: %v\nin-situ:    %v",
+						opts, q, pass, want[i].Rows, got.Rows)
+				}
 			}
 		}
 	}
 }
 
 // TestBatchRowEquivalenceParallel sweeps the worker counts of the
-// partitioned scan under the batch pipeline: results must match the
-// row-path sequential reference for workers 1, 2 and 8.
+// partitioned scan: rows must match the load-first reference, and the
+// adaptive structures left behind must match the sequential scan's, for
+// workers 1, 2 and 8.
 func TestBatchRowEquivalenceParallel(t *testing.T) {
 	cat := buildFixture(t, t.TempDir(), 900)
 	queries := []string{
@@ -104,61 +86,80 @@ func TestBatchRowEquivalenceParallel(t *testing.T) {
 		"SELECT count(*), sum(b), avg(c) FROM wide",
 		"SELECT a, count(*), min(d) FROM wide GROUP BY a ORDER BY a",
 	}
-	rowEng := openEngine(t, cat, Options{Mode: ModePMCache, DisableVectorized: true, Parallelism: 1})
-	var ref []*Result
-	for _, q := range queries {
-		ref = append(ref, mustQuery(t, rowEng, q))
-	}
-	refM := rowEng.Metrics("wide")
-	for _, w := range parallelWorkerCounts {
+	ref := loadFirstResults(t, cat, queries)
+	var refM TableMetrics
+	for wi, w := range parallelWorkerCounts {
 		e := openEngine(t, cat, Options{Mode: ModePMCache, Parallelism: w})
 		for qi, q := range queries {
 			res := mustQuery(t, e, q)
 			if !rowsEqual(ref[qi].Rows, res.Rows) {
-				t.Fatalf("workers %d query %q: batch rows differ from row reference", w, q)
+				t.Fatalf("workers %d query %q: rows differ from the load-first reference", w, q)
 			}
 		}
-		if m := e.Metrics("wide"); m != refM {
-			t.Errorf("workers %d: metrics differ\nrow ref: %+v\nbatch:   %+v", w, refM, m)
+		m := e.Metrics("wide")
+		if wi == 0 {
+			refM = m
+		} else if m != refM {
+			t.Errorf("workers %d: metrics differ\nsequential: %+v\nparallel:   %+v", w, refM, m)
 		}
 	}
 }
 
 // TestBatchEdgeCaseCSVs runs the malformed-shape corpus (short rows,
-// quotes, no trailing newline, embedded empty lines) through both paths.
+// quotes, no trailing newline, embedded empty lines) cold and warm, with
+// a read chunk small enough to split lines, against literal expected
+// rows.
 func TestBatchEdgeCaseCSVs(t *testing.T) {
 	long := strings.Repeat("y", 300)
-	cases := map[string]string{
-		"empty":              "",
-		"single line":        "1,alpha\n",
-		"single no newline":  "1,alpha",
-		"no trailing":        "1,a\n2,b\n3,c",
-		"empty lines inside": "1,a\n\n3,c\n",
-		"long lines":         "1," + long + "\n2,short\n",
-		"quoted fields":      "1,\"hello world\"\n2,\"mid \"\" quote\"\n3,\"tail\n",
-		"short rows":         "1\n2,b\n3\n",
+	null := datum.NewNull(datum.Text)
+	row := func(k int64, v datum.Datum) exec.Row { return exec.Row{datum.NewInt(k), v} }
+	text := datum.NewText
+	cases := map[string]struct {
+		content string
+		rows    []exec.Row // SELECT k, v FROM edge
+	}{
+		"empty":              {"", nil},
+		"single line":        {"1,alpha\n", []exec.Row{row(1, text("alpha"))}},
+		"single no newline":  {"1,alpha", []exec.Row{row(1, text("alpha"))}},
+		"no trailing":        {"1,a\n2,b\n3,c", []exec.Row{row(1, text("a")), row(2, text("b")), row(3, text("c"))}},
+		"empty lines inside": {"1,a\n\n3,c\n", []exec.Row{row(1, text("a")), {datum.NewNull(datum.Int), null}, row(3, text("c"))}},
+		"long lines":         {"1," + long + "\n2,short\n", []exec.Row{row(1, text(long)), row(2, text("short"))}},
+		// Fields are raw bytes between delimiters: quotes are data.
+		"quoted fields": {"1,\"hello world\"\n2,\"mid \"\" quote\"\n3,\"tail\n",
+			[]exec.Row{row(1, text(`"hello world"`)), row(2, text(`"mid "" quote"`)), row(3, text(`"tail`))}},
+		"short rows": {"1\n2,b\n3\n", []exec.Row{row(1, null), row(2, text("b")), row(3, null)}},
 	}
-	queries := []string{
-		"SELECT k, v FROM edge",
-		"SELECT k FROM edge WHERE k >= 2",
-		"SELECT count(*), max(v) FROM edge",
-		"SELECT k FROM edge WHERE v IS NULL",
-	}
-	for name, content := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			cat := edgeCatalog(t, content)
-			rowEng := openEngine(t, cat, Options{Mode: ModePMCache, DisableVectorized: true, ScanChunkSize: 64})
-			batchEng := openEngine(t, cat, Options{Mode: ModePMCache, ScanChunkSize: 64})
+			// Every other query's answer derives from the literal rows.
+			var ge2, nulls []exec.Row
+			var maxV datum.Datum = null
+			for _, r := range tc.rows {
+				if !r[0].Null() && r[0].Int() >= 2 {
+					ge2 = append(ge2, exec.Row{r[0]})
+				}
+				if r[1].Null() {
+					nulls = append(nulls, exec.Row{r[0]})
+				} else if maxV.Null() || datum.Compare(r[1], maxV) > 0 {
+					maxV = r[1]
+				}
+			}
+			want := map[string][]exec.Row{
+				"SELECT k, v FROM edge":              tc.rows,
+				"SELECT k FROM edge WHERE k >= 2":    ge2,
+				"SELECT count(*), max(v) FROM edge":  {{datum.NewInt(int64(len(tc.rows))), maxV}},
+				"SELECT k FROM edge WHERE v IS NULL": nulls,
+			}
+			e := openEngine(t, edgeCatalog(t, tc.content), Options{Mode: ModePMCache, ScanChunkSize: 64})
 			for pass := 0; pass < 2; pass++ {
-				for _, q := range queries {
-					a := mustQuery(t, rowEng, q)
-					b := mustQuery(t, batchEng, q)
-					if !rowsEqual(a.Rows, b.Rows) {
-						t.Fatalf("query %q pass %d: rows differ\nrow:   %v\nbatch: %v", q, pass, a.Rows, b.Rows)
-					}
-					am, bm := rowEng.Metrics("edge"), batchEng.Metrics("edge")
-					if am != bm {
-						t.Errorf("query %q pass %d: metrics differ\nrow:   %+v\nbatch: %+v", q, pass, am, bm)
+				for _, q := range []string{
+					"SELECT k, v FROM edge",
+					"SELECT k FROM edge WHERE k >= 2",
+					"SELECT count(*), max(v) FROM edge",
+					"SELECT k FROM edge WHERE v IS NULL",
+				} {
+					if got := mustQuery(t, e, q); !rowsEqual(want[q], got.Rows) {
+						t.Fatalf("query %q pass %d: rows differ\nwant: %v\ngot:  %v", q, pass, want[q], got.Rows)
 					}
 				}
 			}
@@ -167,58 +168,60 @@ func TestBatchEdgeCaseCSVs(t *testing.T) {
 }
 
 // TestBatchSizeSweep pins that the batch height knob never changes
-// results — including degenerate one-row batches.
+// results — including degenerate one-row batches — against the load-first
+// reference.
 func TestBatchSizeSweep(t *testing.T) {
 	cat := buildFixture(t, t.TempDir(), 300)
 	queries := append(append([]string{}, batchEquivQueries...), batchLimitQueries...)
-	var ref []*Result
+	ref := loadFirstResults(t, cat, queries)
 	for _, size := range []int{0, 1, 3, 57, 4096} {
 		e := openEngine(t, cat, Options{Mode: ModePMCache, BatchSize: size, Parallelism: 1})
-		var res []*Result
 		for pass := 0; pass < 2; pass++ {
-			for _, q := range queries {
-				res = append(res, mustQuery(t, e, q))
-			}
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		for i := range res {
-			if !rowsEqual(ref[i].Rows, res[i].Rows) {
-				t.Fatalf("batch size %d query %q: rows differ", size, queries[i%len(queries)])
+			for i, q := range queries {
+				if !rowsEqual(ref[i].Rows, mustQuery(t, e, q).Rows) {
+					t.Fatalf("batch size %d query %q pass %d: rows differ", size, q, pass)
+				}
 			}
 		}
 	}
 }
 
-// TestVectorizedPlanShape pins that the batch pipeline is the DEFAULT for
-// scan queries, and that DisableVectorized restores the Volcano tree.
+// TestVectorizedPlanShape pins that joins stream batches: a join's output
+// leaves the plan in full batches, not one row per batch, whichever access
+// method (in-situ or load-first heap scan) sits below it.
 func TestVectorizedPlanShape(t *testing.T) {
-	cat := buildFixture(t, t.TempDir(), 50)
-	e := openEngine(t, cat, Options{Mode: ModePMCache})
-	op, _, err := e.Prepare("SELECT id, c FROM wide WHERE a = 3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := op.(*exec.BatchRows); !ok {
-		t.Errorf("vectorized engine should plan a batch pipeline, got %T", op)
-	}
-	rowEng := openEngine(t, cat, Options{Mode: ModePMCache, DisableVectorized: true})
-	op, _, err = rowEng.Prepare("SELECT id, c FROM wide WHERE a = 3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := op.(*exec.BatchRows); ok {
-		t.Error("DisableVectorized engine must not plan a batch pipeline")
-	}
-	// Load-first heap scans are row-only leaves: the plan must quietly fall
-	// back even on a vectorized engine.
-	lf := openEngine(t, cat, Options{Mode: ModeLoadFirst})
-	res := mustQuery(t, lf, "SELECT id, c FROM wide WHERE a = 3")
-	ref := mustQuery(t, e, "SELECT id, c FROM wide WHERE a = 3")
-	if !rowsEqual(res.Rows, ref.Rows) {
-		t.Error("load-first row fallback diverged from vectorized in-situ result")
+	cat := buildFixture(t, t.TempDir(), 3000)
+	const q = "SELECT x.id, y.c FROM wide x, wide y WHERE x.id = y.id AND x.a < 5"
+	for _, opts := range []Options{{Mode: ModePMCache}, {Mode: ModeLoadFirst}} {
+		e := openEngine(t, cat, opts)
+		op, _, err := e.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := op.Open(); err != nil {
+			t.Fatal(err)
+		}
+		var rows, batches int
+		for {
+			b, err := op.NextBatch()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows += b.Live()
+			batches++
+		}
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if rows < 2*exec.DefaultBatchSize {
+			t.Fatalf("mode %v: fixture too small (%d join rows)", opts.Mode, rows)
+		}
+		if limit := (rows+exec.DefaultBatchSize-1)/exec.DefaultBatchSize + 1; batches > limit {
+			t.Errorf("mode %v: %d join rows took %d batches, want <= %d", opts.Mode, rows, batches, limit)
+		}
 	}
 }
 

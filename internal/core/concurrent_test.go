@@ -279,13 +279,13 @@ func TestCancelMidScan(t *testing.T) {
 			if err := op.Open(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := op.Next(); err != nil {
+			if _, err := op.NextBatch(); err != nil {
 				t.Fatal(err)
 			}
 			cancel()
 			var lastErr error
 			for i := 0; i < 100000; i++ {
-				if _, lastErr = op.Next(); lastErr != nil {
+				if _, lastErr = op.NextBatch(); lastErr != nil {
 					break
 				}
 			}
@@ -331,7 +331,7 @@ func TestWarmCacheScansRunConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer op.Close()
-	if _, err := op.Next(); err != nil {
+	if _, err := op.NextBatch(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -370,7 +370,7 @@ func TestCancelWhileWaitingOnTableLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer op.Close()
-	if _, err := op.Next(); err != nil {
+	if _, err := op.NextBatch(); err != nil {
 		t.Fatal(err)
 	}
 

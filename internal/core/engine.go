@@ -40,7 +40,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -121,16 +120,10 @@ type Options struct {
 	// caps per-worker shards would not respect. Results are identical for
 	// every setting.
 	Parallelism int
-	// BatchSize is how many rows a vectorized batch carries between
-	// operators (0 = exec.DefaultBatchSize). Results are identical for any
+	// BatchSize is how many rows a scan batch carries to the operators
+	// above it (0 = exec.DefaultBatchSize). Results are identical for any
 	// setting >= 1.
 	BatchSize int
-	// DisableVectorized forces row-at-a-time (Volcano) execution
-	// everywhere. The default — vectorized batches from the scans through
-	// filter, projection, limit and hash-aggregation input — produces
-	// byte-identical results; this switch exists for comparison and as an
-	// escape hatch.
-	DisableVectorized bool
 	// PlanCacheSize caps the prepared-statement LRU cache (entries, not
 	// bytes; 0 = 256). Each cached entry holds the parameterized parse
 	// result AND its resolved plan skeleton, both shared by all sessions;
@@ -346,9 +339,8 @@ type Prepared struct {
 	numParams  int
 	paramNames []string
 
-	skelMu   sync.Mutex
-	skelDone bool
-	skel     *plan.Skeleton // nil when the statement is not skeleton-cacheable
+	skelMu sync.Mutex
+	skel   *plan.Skeleton // nil until the first successful build
 }
 
 // IsSelect reports whether the statement returns rows.
@@ -400,7 +392,7 @@ func (e *Engine) PrepareStmt(sql string) (*Prepared, error) {
 // stream rows themselves. The operator tree belongs to this execution
 // only; ctx bounds it. The first Plan call resolves the statement into a
 // cached skeleton; later calls only re-bind it (see Prepared).
-func (p *Prepared) Plan(ctx context.Context, params []datum.Datum, named map[string]datum.Datum) (exec.Operator, []exec.Col, error) {
+func (p *Prepared) Plan(ctx context.Context, params []datum.Datum, named map[string]datum.Datum) (exec.BatchOperator, []exec.Col, error) {
 	if p.sel == nil {
 		return nil, nil, fmt.Errorf("core: statement returns no rows; use Exec")
 	}
@@ -414,14 +406,13 @@ func (p *Prepared) Plan(ctx context.Context, params []datum.Datum, named map[str
 // parameters and build the physical plan, attributing skeleton
 // resolution to the profile's plan phase and literal binding to its bind
 // phase (both no-ops when the context carries no profile).
-func (p *Prepared) planSelect(ctx context.Context, params []datum.Datum, named map[string]datum.Datum) (exec.Operator, []exec.Col, error) {
+func (p *Prepared) planSelect(ctx context.Context, params []datum.Datum, named map[string]datum.Datum) (exec.BatchOperator, []exec.Col, error) {
 	if err := checkBindings(p, params, named); err != nil {
 		return nil, nil, err
 	}
 	prof := qtrace.FromContext(ctx)
 	opts := plan.Options{
 		UseStats:    p.e.opts.Statistics,
-		Vectorize:   !p.e.opts.DisableVectorized,
 		KernelCache: p.e.kernels,
 		Ctx:         ctx,
 		Params:      params,
@@ -433,15 +424,8 @@ func (p *Prepared) planSelect(ctx context.Context, params []datum.Datum, named m
 	if err != nil {
 		return nil, nil, err
 	}
-	var res *plan.Result
 	endBind := prof.Enter(qtrace.PhaseBind)
-	if sk != nil {
-		res, err = sk.Bind(p.e, opts)
-	} else {
-		// Not skeleton-cacheable (a parameter where resolution needs a
-		// literal): plan per execution with immediate binding, as before.
-		res, err = plan.Build(p.sel, p.e, opts)
-	}
+	res, err := sk.Bind(p.e, opts)
 	endBind()
 	if err != nil {
 		return nil, nil, err
@@ -451,9 +435,8 @@ func (p *Prepared) planSelect(ctx context.Context, params []datum.Datum, named m
 
 // skeleton lazily resolves the statement into its cached plan skeleton —
 // the skeleton-cache guarantee that resolution and classification are
-// paid once per statement, not per execution. A nil skeleton with nil
-// error means the statement cannot be carried by one (per-execution
-// planning applies). Only a definitive outcome latches: a build error
+// paid once per statement, not per execution. Only success latches: a
+// build error
 // (e.g. a table file that is briefly unreadable) surfaces to this
 // execution but the next one retries, since the Prepared is shared
 // engine-wide through the statement cache and must not stay poisoned by
@@ -461,20 +444,15 @@ func (p *Prepared) planSelect(ctx context.Context, params []datum.Datum, named m
 func (p *Prepared) skeleton() (*plan.Skeleton, error) {
 	p.skelMu.Lock()
 	defer p.skelMu.Unlock()
-	if p.skelDone {
+	if p.skel != nil {
 		return p.skel, nil
 	}
 	sk, err := plan.BuildSkeleton(p.sel, p.e)
-	switch {
-	case err == nil:
-		p.skel, p.skelDone = sk, true
-		return sk, nil
-	case errors.Is(err, plan.ErrNotCacheable):
-		p.skelDone = true
-		return nil, nil
-	default:
+	if err != nil {
 		return nil, err
 	}
+	p.skel = sk
+	return sk, nil
 }
 
 // checkBindings validates parameter arity up front, so the error does not
@@ -521,7 +499,7 @@ func (e *Engine) Query(sql string) (*Result, error) {
 // Prepare parses and plans a SELECT statement, returning the root operator
 // (not yet opened) for callers that want to stream rows themselves. It is
 // PrepareStmt + Plan with a background context and no parameters.
-func (e *Engine) Prepare(sql string) (exec.Operator, []exec.Col, error) {
+func (e *Engine) Prepare(sql string) (exec.BatchOperator, []exec.Col, error) {
 	p, err := e.PrepareStmt(sql)
 	if err != nil {
 		return nil, nil, err
@@ -611,7 +589,10 @@ func (e *Engine) loadedFor(tbl *schema.Table) (*loadedTable, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: loading table %s: %w", tbl.Name, err)
 	}
-	lt := &loadedTable{tbl: tbl, rel: rel}
+	lt := &loadedTable{tbl: tbl, rel: rel, batchSize: e.opts.BatchSize}
+	if lt.batchSize <= 0 {
+		lt.batchSize = exec.DefaultBatchSize
+	}
 	e.loaded[tbl.Name] = lt
 	return lt, nil
 }

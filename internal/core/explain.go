@@ -17,7 +17,7 @@ import (
 // The wrapped statement runs under its own profile even when the caller's
 // context already carries one: EXPLAIN ANALYZE reports exactly one
 // execution, not the accumulated history of the enclosing query.
-func (p *Prepared) planExplain(ctx context.Context, params []datum.Datum, named map[string]datum.Datum) (exec.Operator, []exec.Col, error) {
+func (p *Prepared) planExplain(ctx context.Context, params []datum.Datum, named map[string]datum.Datum) (exec.BatchOperator, []exec.Col, error) {
 	prof := qtrace.New(p.sel.String())
 	root, _, err := p.planSelect(qtrace.NewContext(ctx, prof), params, named)
 	if err != nil {
@@ -39,5 +39,5 @@ func (p *Prepared) planExplain(ctx context.Context, params []datum.Datum, named 
 	for i, l := range lines {
 		rows[i] = exec.Row{datum.NewText(l)}
 	}
-	return exec.NewValues(cols, rows), cols, nil
+	return exec.NewMaterialized(cols, rows), cols, nil
 }

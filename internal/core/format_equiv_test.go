@@ -84,17 +84,17 @@ var crossFormatQueries = []string{
 }
 
 // TestCrossFormatEquivalence is the cross-format suite: for every format,
-// parallel (workers 1/2/8) scans are bit-identical to sequential ones,
-// batch and row execution paths are byte-identical, per-table metrics are
-// equal across passes — and all three formats agree on every query.
+// parallel (workers 2/8) scans are bit-identical to sequential ones,
+// per-table metrics are equal across worker counts — and all three
+// formats agree on every query.
 func TestCrossFormatEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	const n = 700
 	for _, table := range []string{"obs_csv", "obs_fits", "obs_jsonl"} {
 		t.Run(table, func(t *testing.T) {
-			// Sequential row-path reference.
+			// Sequential reference.
 			ref := openEngine(t, formatFixture(t, t.TempDir(), n), Options{
-				Mode: ModePMCache, Parallelism: 1, DisableVectorized: true,
+				Mode: ModePMCache, Parallelism: 1,
 			})
 			var want []*Result
 			var wantM []TableMetrics
@@ -102,25 +102,22 @@ func TestCrossFormatEquivalence(t *testing.T) {
 				want = append(want, mustQuery(t, ref, fmt.Sprintf(q, table)))
 				wantM = append(wantM, ref.Metrics(table))
 			}
-			for _, w := range []int{1, 2, 8} {
-				for _, vec := range []bool{false, true} {
-					e := openEngine(t, formatFixture(t, t.TempDir(), n), Options{
-						Mode: ModePMCache, Parallelism: w, DisableVectorized: !vec,
-					})
-					for qi, q := range crossFormatQueries {
-						got := mustQuery(t, e, fmt.Sprintf(q, table))
-						if !reflect.DeepEqual(got.Rows, want[qi].Rows) {
-							t.Fatalf("workers=%d vectorized=%v query %q differs from sequential row path",
-								w, vec, q)
-						}
-						// Metrics equal across execution strategies. The
-						// LIMIT query is exempt: how far a scan overshoots a
-						// limit legitimately depends on batch shape (PR 2).
-						if !strings.Contains(q, "LIMIT") {
-							if m := e.Metrics(table); m != wantM[qi] {
-								t.Errorf("workers=%d vectorized=%v after %q: metrics differ\nref: %+v\ngot: %+v",
-									w, vec, q, wantM[qi], m)
-							}
+			for _, w := range []int{2, 8} {
+				e := openEngine(t, formatFixture(t, t.TempDir(), n), Options{
+					Mode: ModePMCache, Parallelism: w,
+				})
+				for qi, q := range crossFormatQueries {
+					got := mustQuery(t, e, fmt.Sprintf(q, table))
+					if !reflect.DeepEqual(got.Rows, want[qi].Rows) {
+						t.Fatalf("workers=%d query %q differs from the sequential scan", w, q)
+					}
+					// Metrics equal across worker counts. The LIMIT query
+					// is exempt: how far a scan overshoots a limit
+					// legitimately depends on batch shape and scheduling.
+					if !strings.Contains(q, "LIMIT") {
+						if m := e.Metrics(table); m != wantM[qi] {
+							t.Errorf("workers=%d after %q: metrics differ\nref: %+v\ngot: %+v",
+								w, q, wantM[qi], m)
 						}
 					}
 				}
@@ -187,7 +184,7 @@ func TestConcurrentWarmFITSScansOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer op.Close()
-	if _, err := op.Next(); err != nil { // scan held open mid-stream
+	if _, err := op.NextBatch(); err != nil { // scan held open mid-stream
 		t.Fatal(err)
 	}
 
@@ -244,13 +241,13 @@ func TestCancelMidFITSScan(t *testing.T) {
 			if err := op.Open(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := op.Next(); err != nil {
+			if _, err := op.NextBatch(); err != nil {
 				t.Fatal(err)
 			}
 			cancel()
 			var lastErr error
 			for i := 0; i < 200000; i++ {
-				if _, lastErr = op.Next(); lastErr != nil {
+				if _, lastErr = op.NextBatch(); lastErr != nil {
 					break
 				}
 			}
@@ -298,13 +295,13 @@ func TestCancelMidJSONLScan(t *testing.T) {
 			if err := op.Open(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := op.Next(); err != nil {
+			if _, err := op.NextBatch(); err != nil {
 				t.Fatal(err)
 			}
 			cancel()
 			var lastErr error
 			for i := 0; i < 200000; i++ {
-				if _, lastErr = op.Next(); lastErr != nil {
+				if _, lastErr = op.NextBatch(); lastErr != nil {
 					break
 				}
 			}

@@ -59,10 +59,10 @@ type inSituScan struct {
 
 	expect int64 // row count the adaptive state predicts; -1 = unknown
 	row    int
+	done   bool     // the pass reached the end of the file (finish ran)
 	rowBuf exec.Row // sparse per-tuple materialization (table width)
 	gen    []int    // generation marks for rowBuf validity
 	curGen int
-	out    exec.Row
 
 	// tupPos is the per-tuple temporary map (paper §4.2 "Pre-fetching"):
 	// field start offsets discovered for the current tuple's prefix.
@@ -86,8 +86,9 @@ type inSituScan struct {
 	maxNeeded  int   // highest table ordinal the query touches
 
 	batchSize int
-	budget    int64            // LIMIT pushdown row budget; -1 = none
-	batcher   *exec.RowBatcher // lazily built by NextBatch, reused per call
+	budget    int64       // LIMIT pushdown row budget; -1 = none
+	produced  int64       // qualifying rows delivered so far
+	batch     *exec.Batch // reused output batch (fresh per call for shards)
 }
 
 func newInSituScan(ctx context.Context, rt *rawTable, outCols []int, conjuncts []expr.Expr) *inSituScan {
@@ -102,7 +103,6 @@ func newInSituScan(ctx context.Context, rt *rawTable, outCols []int, conjuncts [
 		conjuncts: conjuncts,
 		rowBuf:    make(exec.Row, rt.Tbl.NumColumns()),
 		gen:       make([]int, rt.Tbl.NumColumns()),
-		out:       make(exec.Row, len(outCols)),
 		batchSize: rt.BatchSize(),
 		budget:    -1,
 	}
@@ -120,16 +120,15 @@ func newInSituScan(ctx context.Context, rt *rawTable, outCols []int, conjuncts [
 	return s
 }
 
-// Columns implements exec.Operator.
+// Columns implements exec.BatchOperator.
 func (s *inSituScan) Columns() []exec.Col { return s.cols }
 
-// SetRowBudget implements exec.RowBudgeter (applied by the batch path).
-func (s *inSituScan) SetRowBudget(n int64) {
-	s.budget = n
-	if s.batcher != nil {
-		s.batcher.SetRowBudget(n)
-	}
-}
+// SetRowBudget implements exec.RowBudgeter: the scan stops reading once n
+// qualifying tuples have been delivered.
+func (s *inSituScan) SetRowBudget(n int64) { s.budget = n }
+
+// Exhausted implements format.PartitionScan.
+func (s *inSituScan) Exhausted() bool { return s.done }
 
 // Open starts the sequential file pass and attaches statistics collectors
 // for needed columns that lack statistics.
@@ -151,6 +150,8 @@ func (s *inSituScan) Open() error {
 	}
 	s.expect = s.rt.Rows.Load()
 	s.row = 0
+	s.done = false
+	s.produced = 0
 	s.curGen = 0
 	for i := range s.gen {
 		s.gen[i] = -1
@@ -226,62 +227,34 @@ func (s *inSituScan) Close() error {
 	return nil
 }
 
-// Next produces the next qualifying tuple's output columns. Cancellation
-// is observed every 256 input tuples, so even a highly selective predicate
+// NextBatch implements exec.BatchOperator: it runs the selective
+// tokenize/parse/navigate pipeline tuple by tuple and appends each
+// qualifying tuple's output columns straight into the batch, until the
+// batch is full, the row budget is met or the file ends. Cancellation is
+// observed every 256 input tuples, so even a highly selective predicate
 // over a huge file aborts promptly.
-func (s *inSituScan) Next() (exec.Row, error) {
-	for {
-		if s.tick++; s.tick&255 == 0 {
-			if err := s.ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		line, off, err := s.lr.Next()
-		if err == io.EOF {
-			if ferr := s.finish(); ferr != nil {
-				return nil, ferr
-			}
-			return nil, io.EOF
-		}
+func (s *inSituScan) NextBatch() (*exec.Batch, error) {
+	target := s.batchSize
+	if s.budget >= 0 && s.budget-s.produced < int64(target) {
+		target = int(s.budget - s.produced)
+	}
+	if s.done || target <= 0 {
+		return nil, io.EOF
+	}
+	if s.batch == nil || s.shard {
+		s.batch = exec.NewBatch(len(s.outCols), target)
+	}
+	b := s.batch
+	b.Reset()
+	for b.N < target {
+		ok, line, err := s.nextTuple()
 		if err != nil {
-			return nil, format.WrapFileErr(s.rt.Tbl.Name, err)
+			return nil, err
 		}
-		if s.rt.PM != nil {
-			s.rt.PM.RecordTupleStart(s.row, off)
+		if s.done {
+			break
 		}
-		s.curGen++
-		s.c.TuplesParsed++
-		s.tupPos = s.tupPos[:0]
-		s.tupShort = false
-
-		if s.rt.Env.FullParse {
-			// Straw-man path: convert the entire tuple before anything
-			// else, as external-files engines do.
-			for c := 0; c < len(s.rowBuf); c++ {
-				if _, err := s.value(line, c); err != nil {
-					return nil, err
-				}
-			}
-		}
-
-		qualifies := true
-		for i, conj := range s.conjuncts {
-			for _, c := range s.conjCols[i] {
-				if _, err := s.value(line, c); err != nil {
-					return nil, err
-				}
-			}
-			ok, err := expr.TruthyResult(conj, s.rowBuf)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				qualifies = false
-				break
-			}
-		}
-		if !qualifies {
-			s.row++
+		if !ok {
 			continue
 		}
 		// Selective tuple formation: only now convert the SELECT columns.
@@ -290,27 +263,71 @@ func (s *inSituScan) Next() (exec.Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.out[i] = v
+			b.Cols[i] = append(b.Cols[i], v)
 		}
+		b.N++
 		s.row++
-		return s.out, nil
 	}
+	if b.N == 0 {
+		return nil, io.EOF
+	}
+	s.produced += int64(b.N)
+	return b, nil
 }
 
-// NextBatch implements exec.BatchOperator: it runs the identical selective
-// tokenize/parse/navigate pipeline as Next — so every adaptive structure
-// and metric evolves byte-identically — and accumulates qualifying tuples
-// into a reused column-major batch (exec.RowBatcher does the packing),
-// amortizing the per-tuple operator interface so everything above runs
-// vectorized. The batcher only packs; Open/Close stay on the scan itself.
-func (s *inSituScan) NextBatch() (*exec.Batch, error) {
-	if s.batcher == nil {
-		s.batcher = exec.NewRowBatcher(s, s.batchSize)
-		if s.budget >= 0 {
-			s.batcher.SetRowBudget(s.budget)
+// nextTuple reads the next tuple and evaluates the conjuncts over it,
+// parsing only the attributes they reference. It reports whether the
+// tuple qualifies; a qualifying tuple's row number is left for the caller
+// to advance once its output columns are formed. At the end of the file
+// it runs finish and sets s.done.
+func (s *inSituScan) nextTuple() (bool, []byte, error) {
+	if s.tick&255 == 0 {
+		if err := s.ctx.Err(); err != nil {
+			return false, nil, err
 		}
 	}
-	return s.batcher.NextBatch()
+	s.tick++
+	line, off, err := s.lr.Next()
+	if err == io.EOF {
+		s.done = true
+		return false, nil, s.finish()
+	}
+	if err != nil {
+		return false, nil, format.WrapFileErr(s.rt.Tbl.Name, err)
+	}
+	if s.rt.PM != nil {
+		s.rt.PM.RecordTupleStart(s.row, off)
+	}
+	s.curGen++
+	s.c.TuplesParsed++
+	s.tupPos = s.tupPos[:0]
+	s.tupShort = false
+
+	if s.rt.Env.FullParse {
+		// Straw-man path: convert the entire tuple before anything else,
+		// as external-files engines do.
+		for c := 0; c < len(s.rowBuf); c++ {
+			if _, err := s.value(line, c); err != nil {
+				return false, nil, err
+			}
+		}
+	}
+	for i, conj := range s.conjuncts {
+		for _, c := range s.conjCols[i] {
+			if _, err := s.value(line, c); err != nil {
+				return false, nil, err
+			}
+		}
+		ok, err := expr.TruthyResult(conj, s.rowBuf)
+		if err != nil {
+			return false, nil, err
+		}
+		if !ok {
+			s.row++
+			return false, nil, nil
+		}
+	}
+	return true, line, nil
 }
 
 // rowError locates a parse failure. The row is 0-based and — inside a

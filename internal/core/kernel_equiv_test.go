@@ -56,25 +56,25 @@ func TestKernelEquivalenceCrossFormat(t *testing.T) {
 
 // TestTPCHKernelEquivalence runs every TPC-H query of the paper's subset
 // with kernels on and off across worker counts and cold/warm passes; rows
-// must be byte-identical. The row-at-a-time configuration rides along as
-// a third column (kernels wrap conjuncts whose scalar path must stay
-// untouched).
+// must be byte-identical. The "rowpath" configuration runs one-row
+// batches — the tuple-at-a-time extreme of the batch engine — where
+// kernels and the scalar conjunct path meet on every row.
 func TestTPCHKernelEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	if err := tpch.Generate(dir, 0.002, 7); err != nil {
 		t.Fatal(err)
 	}
-	newEngine := func(workers int, disableKernels, disableVec bool) *Engine {
+	newEngine := func(workers int, disableKernels bool, batchSize int) *Engine {
 		cat, err := tpch.Catalog(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return openEngine(t, cat, Options{
 			Mode: ModePMCache, Statistics: true, Parallelism: workers,
-			DisableKernels: disableKernels, DisableVectorized: disableVec,
+			DisableKernels: disableKernels, BatchSize: batchSize,
 		})
 	}
-	ref := newEngine(1, true, false)
+	ref := newEngine(1, true, 0)
 	type key struct {
 		name string
 		pass int
@@ -86,17 +86,17 @@ func TestTPCHKernelEquivalence(t *testing.T) {
 		}
 	}
 	for _, cfg := range []struct {
-		label      string
-		workers    int
-		disableVec bool
+		label     string
+		workers   int
+		batchSize int
 	}{
-		{"workers=1", 1, false},
-		{"workers=2", 2, false},
-		{"workers=8", 8, false},
-		{"rowpath", 1, true},
+		{"workers=1", 1, 0},
+		{"workers=2", 2, 0},
+		{"workers=8", 8, 0},
+		{"rowpath", 1, 1},
 	} {
 		t.Run(cfg.label, func(t *testing.T) {
-			e := newEngine(cfg.workers, false, cfg.disableVec)
+			e := newEngine(cfg.workers, false, cfg.batchSize)
 			for pass := 0; pass < 2; pass++ {
 				for _, name := range tpch.QueryOrder {
 					got := mustQuery(t, e, tpch.Queries[name])

@@ -44,7 +44,7 @@ type parallelScan struct {
 // newParallelScan builds the operator; workers must be >= 2. Workers
 // observe ctx cancellation inside their partition scans and the merged
 // stream surfaces the context error.
-func newParallelScan(ctx context.Context, rt *rawTable, outCols []int, conjuncts []expr.Expr, workers int) format.ScanOperator {
+func newParallelScan(ctx context.Context, rt *rawTable, outCols []int, conjuncts []expr.Expr, workers int) exec.BatchOperator {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -103,6 +103,7 @@ func (p *parallelScan) start() (int, error) {
 	for i, part := range parts {
 		sh := newInSituScan(p.ctx, p.rt.shard(), p.outCols, p.conjuncts)
 		sh.shard = true
+		sh.batchSize = format.BatchRowsPerMsg
 		sh.section = io.NewSectionReader(ra, part.Start, part.End-part.Start)
 		sh.base = part.Start
 		p.shards[i] = sh
@@ -110,17 +111,11 @@ func (p *parallelScan) start() (int, error) {
 	return len(parts), nil
 }
 
-// run drains one partition through its private scan, accumulating
-// qualifying rows into column-major batches (format.PumpRows allocates
-// each batch freshly, so the consumer owns it outright and the merged
-// stream hands them straight to the vectorized executor).
+// run drains one partition through its private scan, emitting the
+// scan's batches directly (a shard scan allocates each batch freshly, so
+// the consumer owns it outright).
 func (p *parallelScan) run(part int, emit func(*exec.Batch) bool) error {
-	s := p.shards[part]
-	if err := s.Open(); err != nil {
-		return err
-	}
-	defer s.Close()
-	return format.PumpRows(s, len(p.outCols), format.BatchRowsPerMsg, emit)
+	return format.RunPartition(p.shards[part], emit)
 }
 
 // merge folds shards[0..n) — in file order, offsetting rows by the

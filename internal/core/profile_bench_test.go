@@ -43,7 +43,7 @@ func BenchmarkWarmScanProfiled(b *testing.B) {
 func benchProfiledScan(b *testing.B, profiled bool) {
 	const rows = 20_000
 	sql := "SELECT id, b + 1, c * 2.0 FROM wide WHERE a < 4"
-	e := benchWarmEngine(b, rows, false)
+	e := benchWarmEngine(b, rows)
 	p, err := e.PrepareStmt(sql)
 	if err != nil {
 		b.Fatal(err)
@@ -83,7 +83,7 @@ func TestProfileOverheadOnWarmScan(t *testing.T) {
 		rounds = 25
 	)
 	sql := "SELECT id, b + 1, c * 2.0 FROM wide WHERE a < 4"
-	e := benchWarmEngine(t, rows, false)
+	e := benchWarmEngine(t, rows)
 	p, err := e.PrepareStmt(sql)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"io"
 
 	"nodb/internal/datum"
 	"nodb/internal/exec"
@@ -49,10 +50,10 @@ func newRawTable(tbl *schema.Table, env format.Env) *rawTable {
 // (by then a concurrent session may already have warmed the table).
 func (rt *rawTable) OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.BatchOperator, error) {
 	return rt.NewScan(ctx, cols, conjuncts, format.ScanPlan{
-		Seq: func(ctx context.Context) format.ScanOperator {
+		Seq: func(ctx context.Context) exec.BatchOperator {
 			return newInSituScan(ctx, rt, cols, conjuncts)
 		},
-		Par: func(ctx context.Context, workers int) format.ScanOperator {
+		Par: func(ctx context.Context, workers int) exec.BatchOperator {
 			return newParallelScan(ctx, rt, cols, conjuncts, workers)
 		},
 	}), nil
@@ -102,8 +103,9 @@ func (rt *rawTable) Append(ctx context.Context, rows [][]datum.Datum) error {
 
 // loadedTable adapts a bulk-loaded heap relation to plan.Table.
 type loadedTable struct {
-	tbl *schema.Table
-	rel *storage.Relation
+	tbl       *schema.Table
+	rel       *storage.Relation
+	batchSize int
 }
 
 // Name implements plan.Table.
@@ -118,60 +120,97 @@ func (lt *loadedTable) Stats() *stats.Table { return lt.rel.Stats }
 // RowCount implements plan.Table.
 func (lt *loadedTable) RowCount() int64 { return lt.rel.Stats.RowCount() }
 
-// Scan implements plan.Table: a sequential page scan with the conjuncts
-// evaluated against decoded tuples, projecting the requested ordinals.
-// Tuples are deformed only up to the last needed column, as row stores do.
-// Cancellation is observed every few hundred rows.
-func (lt *loadedTable) Scan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.Operator, error) {
-	pred := expr.JoinConjuncts(conjuncts)
-	outCols := make([]exec.Col, len(cols))
-	for i, c := range cols {
-		outCols[i] = exec.Col{Name: lt.tbl.Columns[c].Name, Type: lt.tbl.Columns[c].Type}
-	}
+// Scan implements plan.Table: a sequential page scan that gathers the
+// columns the query touches into batches, narrows each batch's selection
+// conjunct by conjunct (format.NarrowSelection) and aliases the requested
+// ordinals as output columns. Tuples are deformed only up to the last
+// needed column, as row stores do. Cancellation is observed every 256
+// tuples.
+func (lt *loadedTable) Scan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.BatchOperator, error) {
+	return &heapScan{ctx: ctx, lt: lt, outCols: cols, conjuncts: conjuncts,
+		cols: format.OutputSchema(lt.tbl, cols), needed: format.NeededColumns(cols, conjuncts)}, nil
+}
+
+// heapScan is the batch scan of a loaded heap relation.
+type heapScan struct {
+	ctx       context.Context
+	lt        *loadedTable
+	outCols   []int
+	conjuncts []expr.Expr
+	cols      []exec.Col
+	needed    []int
+
+	it     *storage.Iterator
+	batch  *exec.Batch // table-width columns (needed ones filled)
+	out    *exec.Batch // outCols-ordered aliases of batch's columns
+	selBuf []int
+}
+
+// Open starts the page scan.
+func (s *heapScan) Open() error {
 	maxNeeded := 0
-	for _, c := range format.NeededColumns(cols, conjuncts) {
+	for _, c := range s.needed {
 		if c > maxNeeded {
 			maxNeeded = c
 		}
 	}
-	var it *storage.Iterator
-	var tick int
-	out := make(exec.Row, len(cols))
-	return exec.NewSource(outCols,
-		func() error {
-			it = lt.rel.Heap.ScanPrefix(maxNeeded)
-			return nil
-		},
-		func() (exec.Row, error) {
-			for {
-				if tick++; tick&255 == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				row, err := it.Next()
-				if err != nil {
+	s.it = s.lt.rel.Heap.ScanPrefix(maxNeeded)
+	return nil
+}
+
+// NextBatch reads up to one batch of tuples and filters it.
+func (s *heapScan) NextBatch() (*exec.Batch, error) {
+	if s.batch == nil {
+		s.batch = &exec.Batch{Cols: make([][]datum.Datum, len(s.lt.tbl.Columns))}
+		s.out = &exec.Batch{Cols: make([][]datum.Datum, len(s.outCols))}
+	}
+	for {
+		b := s.batch
+		b.Reset()
+		for b.N < s.lt.batchSize {
+			if b.N&255 == 0 {
+				if err := s.ctx.Err(); err != nil {
 					return nil, err
 				}
-				if pred != nil {
-					ok, err := expr.TruthyResult(pred, row)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						continue
-					}
-				}
-				for i, c := range cols {
-					out[i] = row[c]
-				}
-				return out, nil
 			}
-		},
-		func() error {
-			if it != nil {
-				it.Close()
+			row, err := s.it.Next()
+			if err == io.EOF {
+				break
 			}
-			return nil
-		}), nil
+			if err != nil {
+				return nil, err
+			}
+			for _, c := range s.needed {
+				b.Cols[c] = append(b.Cols[c], row[c])
+			}
+			b.N++
+		}
+		if b.N == 0 {
+			return nil, io.EOF
+		}
+		sel, live, err := format.NarrowSelection(s.conjuncts, b.Cols, b.N, &s.selBuf, nil)
+		if err != nil {
+			return nil, err
+		}
+		if live == 0 && len(s.conjuncts) > 0 {
+			continue
+		}
+		for i, c := range s.outCols {
+			s.out.Cols[i] = b.Cols[c]
+		}
+		s.out.N, s.out.Sel = b.N, sel
+		return s.out, nil
+	}
 }
+
+// Close ends the page scan.
+func (s *heapScan) Close() error {
+	if s.it != nil {
+		s.it.Close()
+		s.it = nil
+	}
+	return nil
+}
+
+// Columns implements exec.BatchOperator.
+func (s *heapScan) Columns() []exec.Col { return s.cols }

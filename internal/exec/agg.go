@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"io"
 	"sort"
 
 	"nodb/internal/datum"
@@ -12,37 +11,11 @@ import (
 // expressions followed by aggregate calls. The output row layout is
 // [group values..., aggregate results...].
 type aggSpec struct {
-	child   Operator
+	child   BatchOperator
 	groupBy []expr.Expr
 	aggs    []*expr.Aggregate
 	cols    []Col
-}
-
-func (a *aggSpec) evalGroup(r Row, dst Row) (Row, error) {
-	dst = dst[:0]
-	for _, g := range a.groupBy {
-		v, err := g.Eval(r)
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, v)
-	}
-	return dst, nil
-}
-
-func (a *aggSpec) feed(states []*expr.AggState, r Row) error {
-	for i, ag := range a.aggs {
-		if ag.Kind == expr.AggCountStar || ag.Arg == nil {
-			states[i].Add(datum.NewBool(true))
-			continue
-		}
-		v, err := ag.Arg.Eval(r)
-		if err != nil {
-			return err
-		}
-		states[i].Add(v)
-	}
-	return nil
+	out     Materialized // the finished groups
 }
 
 func (a *aggSpec) newStates() []*expr.AggState {
@@ -66,6 +39,64 @@ func (a *aggSpec) resultRow(group Row, states []*expr.AggState) Row {
 	return out
 }
 
+// countsRows reports whether aggregate i counts rows rather than values.
+func (a *aggSpec) countsRows(i int) bool {
+	return a.aggs[i].Kind == expr.AggCountStar || a.aggs[i].Arg == nil
+}
+
+// drainInput evaluates the grouping keys and aggregate arguments
+// column-at-a-time over every input batch (expr.EvalBatch, once per batch
+// per expression) and hands fn each batch with its key and argument
+// vectors; only the per-row grouping work remains in fn. Aggregates that
+// count rows get no argument vector.
+func (a *aggSpec) drainInput(fn func(b *Batch, keys, args [][]datum.Datum)) error {
+	keyScratch := make([][]datum.Datum, len(a.groupBy))
+	argScratch := make([][]datum.Datum, len(a.aggs))
+	keys := make([][]datum.Datum, len(a.groupBy))
+	args := make([][]datum.Datum, len(a.aggs))
+	return drainChild(a.child, func(b *Batch) error {
+		var err error
+		for gi, g := range a.groupBy {
+			if keys[gi], err = evalVec(g, b, &keyScratch[gi]); err != nil {
+				return err
+			}
+		}
+		for ai, ag := range a.aggs {
+			if a.countsRows(ai) {
+				continue
+			}
+			if args[ai], err = evalVec(ag.Arg, b, &argScratch[ai]); err != nil {
+				return err
+			}
+		}
+		fn(b, keys, args)
+		return nil
+	})
+}
+
+// feed adds position pos of the argument vectors to states.
+func (a *aggSpec) feed(states []*expr.AggState, args [][]datum.Datum, pos int) {
+	for i := range a.aggs {
+		if a.countsRows(i) {
+			states[i].Add(datum.NewBool(true))
+			continue
+		}
+		states[i].Add(args[i][pos])
+	}
+}
+
+// NextBatch emits the next batch of finished groups.
+func (a *aggSpec) NextBatch() (*Batch, error) { return a.out.NextBatch() }
+
+// Close releases the buffered groups.
+func (a *aggSpec) Close() error {
+	a.out.rows = nil
+	return nil
+}
+
+// Columns returns the [group..., aggregates...] schema.
+func (a *aggSpec) Columns() []Col { return a.cols }
+
 // HashAgg groups rows with a hash table — the plan a cost-based optimizer
 // picks when the estimated number of groups is modest.
 type HashAgg struct {
@@ -74,11 +105,8 @@ type HashAgg struct {
 	// see Fig 12). Zero means no hint.
 	SizeHint int
 
-	bsrc BatchOperator // vectorized input; takes precedence over child
-
 	groups map[uint64][]*hashGroup
 	order  []*hashGroup // emission in first-seen order
-	i      int
 }
 
 type hashGroup struct {
@@ -87,154 +115,55 @@ type hashGroup struct {
 }
 
 // NewHashAgg builds a hash aggregation operator.
-func NewHashAgg(child Operator, groupBy []expr.Expr, aggs []*expr.Aggregate, cols []Col) *HashAgg {
-	return &HashAgg{aggSpec: aggSpec{child: child, groupBy: groupBy, aggs: aggs, cols: cols}}
+func NewHashAgg(child BatchOperator, groupBy []expr.Expr, aggs []*expr.Aggregate, cols []Col) *HashAgg {
+	return &HashAgg{aggSpec: aggSpec{child: child, groupBy: groupBy, aggs: aggs, cols: cols,
+		out: Materialized{cols: cols}}}
 }
 
-// SetBatchInput makes the aggregation consume column-major batches from b
-// instead of rows from its child: grouping keys and aggregate arguments
-// evaluate via expr.EvalBatch once per batch per expression, and only the
-// hash probe remains per-row.
-func (h *HashAgg) SetBatchInput(b BatchOperator) { h.bsrc = b }
-
-// Open consumes the input and builds all groups.
+// Open consumes the input and builds all groups: grouping keys and
+// aggregate arguments evaluate once per batch per expression, and only the
+// hash probe and state update remain per row. A global aggregate (no
+// GROUP BY) has exactly one group and skips the probe entirely.
 func (h *HashAgg) Open() error {
-	if h.bsrc != nil {
-		return h.openBatches()
-	}
-	if err := h.child.Open(); err != nil {
-		return err
-	}
-	defer h.child.Close()
 	size := 64
 	if h.SizeHint > 0 {
 		size = h.SizeHint
 	}
 	h.groups = make(map[uint64][]*hashGroup, size)
 	h.order = h.order[:0]
-	h.i = 0
-
-	// Global aggregates (no GROUP BY) have exactly one group: skip the
-	// per-row key hashing and table lookups entirely.
-	if len(h.groupBy) == 0 {
-		g := &hashGroup{key: Row{}, states: h.newStates()}
-		h.order = append(h.order, g)
-		for {
-			r, err := h.child.Next()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			if err := h.feed(g.states, r); err != nil {
-				return err
-			}
-		}
-	}
-
-	var keyBuf Row
-	for {
-		r, err := h.child.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		keyBuf, err = h.evalGroup(r, keyBuf)
-		if err != nil {
-			return err
-		}
-		g := h.findOrCreate(keyBuf)
-		if err := h.feed(g.states, r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// openBatches is the vectorized build: group-by expressions and aggregate
-// arguments are evaluated column-at-a-time over each input batch, then the
-// per-row remainder is only the hash-table probe and state update.
-func (h *HashAgg) openBatches() error {
-	if err := h.bsrc.Open(); err != nil {
-		return err
-	}
-	defer h.bsrc.Close()
-	size := 64
-	if h.SizeHint > 0 {
-		size = h.SizeHint
-	}
-	h.groups = make(map[uint64][]*hashGroup, size)
-	h.order = h.order[:0]
-	h.i = 0
 
 	var global *hashGroup
 	if len(h.groupBy) == 0 {
 		global = &hashGroup{key: Row{}, states: h.newStates()}
 		h.order = append(h.order, global)
 	}
-
-	keyScratch := make([][]datum.Datum, len(h.groupBy))
-	argScratch := make([][]datum.Datum, len(h.aggs))
-	keyVecs := make([][]datum.Datum, len(h.groupBy))
-	argVecs := make([][]datum.Datum, len(h.aggs))
 	keyBuf := make(Row, len(h.groupBy))
-	for {
-		b, err := h.bsrc.NextBatch()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		for gi, g := range h.groupBy {
-			if keyVecs[gi], err = evalVec(g, b, &keyScratch[gi]); err != nil {
-				return err
-			}
-		}
-		for ai, ag := range h.aggs {
-			if ag.Kind == expr.AggCountStar || ag.Arg == nil {
-				continue
-			}
-			if argVecs[ai], err = evalVec(ag.Arg, b, &argScratch[ai]); err != nil {
-				return err
-			}
-		}
-		feedPos := func(i int) {
+	err := h.drainInput(func(b *Batch, keys, args [][]datum.Datum) {
+		b.forLive(func(_, pos int) {
 			g := global
 			if g == nil {
-				for gi := range h.groupBy {
-					keyBuf[gi] = keyVecs[gi][i]
+				for gi := range keys {
+					keyBuf[gi] = keys[gi][pos]
 				}
 				g = h.findOrCreate(keyBuf)
 			}
-			for ai, ag := range h.aggs {
-				if ag.Kind == expr.AggCountStar || ag.Arg == nil {
-					g.states[ai].Add(datum.NewBool(true))
-					continue
-				}
-				g.states[ai].Add(argVecs[ai][i])
-			}
-		}
-		if b.Sel == nil {
-			for i := 0; i < b.N; i++ {
-				feedPos(i)
-			}
-		} else {
-			for _, i := range b.Sel {
-				feedPos(i)
-			}
-		}
+			h.feed(g.states, args, pos)
+		})
+	})
+	if err != nil {
+		return err
 	}
+	rows := make([]Row, len(h.order))
+	for i, g := range h.order {
+		rows[i] = h.resultRow(g.key, g.states)
+	}
+	h.groups, h.order = nil, nil
+	h.out.rows = rows
+	return h.out.Open()
 }
 
 func (h *HashAgg) findOrCreate(key Row) *hashGroup {
-	var hash uint64 = 1469598103934665603
-	for _, d := range key {
-		hash = hash*1099511628211 ^ d.Hash()
-	}
+	hash := hashKey(key)
 	for _, g := range h.groups[hash] {
 		if groupKeyEqual(g.key, key) {
 			return g
@@ -259,69 +188,45 @@ func groupKeyEqual(a, b Row) bool {
 	return true
 }
 
-// Next emits one group per call.
-func (h *HashAgg) Next() (Row, error) {
-	if h.i >= len(h.order) {
-		return nil, io.EOF
-	}
-	g := h.order[h.i]
-	h.i++
-	return h.resultRow(g.key, g.states), nil
-}
-
-// Close releases the hash table.
-func (h *HashAgg) Close() error {
-	h.groups = nil
-	h.order = nil
-	return nil
-}
-
-// Columns returns the [group..., aggregates...] schema.
-func (h *HashAgg) Columns() []Col { return h.cols }
-
 // SortAgg groups rows by sorting on the grouping key and emitting a group
 // whenever the key changes. Used by the optimizer when statistics are
 // unavailable and it must assume many groups (the conservative plan whose
 // cost Fig 12 exposes).
 type SortAgg struct {
 	aggSpec
-	out []Row
-	i   int
 }
 
 // NewSortAgg builds a sort-based aggregation operator.
-func NewSortAgg(child Operator, groupBy []expr.Expr, aggs []*expr.Aggregate, cols []Col) *SortAgg {
-	return &SortAgg{aggSpec: aggSpec{child: child, groupBy: groupBy, aggs: aggs, cols: cols}}
+func NewSortAgg(child BatchOperator, groupBy []expr.Expr, aggs []*expr.Aggregate, cols []Col) *SortAgg {
+	return &SortAgg{aggSpec{child: child, groupBy: groupBy, aggs: aggs, cols: cols,
+		out: Materialized{cols: cols}}}
 }
 
-// Open materializes, sorts by the grouping key, and folds runs into groups.
+// Open materializes the keys and arguments of every input row, sorts by
+// the grouping key, and folds runs into groups.
 func (s *SortAgg) Open() error {
-	if err := s.child.Open(); err != nil {
-		return err
-	}
-	defer s.child.Close()
-	s.out = s.out[:0]
-	s.i = 0
-
 	type keyed struct {
-		row Row
 		key Row
+		idx int // input position in argCols
 	}
 	var items []keyed
-	var keyBuf Row
-	for {
-		r, err := s.child.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		keyBuf, err = s.evalGroup(r, keyBuf)
-		if err != nil {
-			return err
-		}
-		items = append(items, keyed{row: CloneRow(r), key: CloneRow(keyBuf)})
+	argCols := make([][]datum.Datum, len(s.aggs)) // every input row's arguments
+	err := s.drainInput(func(b *Batch, keys, args [][]datum.Datum) {
+		b.forLive(func(_, pos int) {
+			it := keyed{key: make(Row, len(keys)), idx: len(items)}
+			for gi := range keys {
+				it.key[gi] = keys[gi][pos]
+			}
+			for ai := range args {
+				if !s.countsRows(ai) {
+					argCols[ai] = append(argCols[ai], args[ai][pos])
+				}
+			}
+			items = append(items, it)
+		})
+	})
+	if err != nil {
+		return err
 	}
 	sort.SliceStable(items, func(a, b int) bool {
 		for i := range items[a].key {
@@ -332,45 +237,25 @@ func (s *SortAgg) Open() error {
 		}
 		return false
 	})
+	var rows []Row
 	var curKey Row
 	var states []*expr.AggState
-	flush := func() {
-		if states != nil {
-			s.out = append(s.out, s.resultRow(curKey, states))
-		}
-	}
 	for _, it := range items {
 		if states == nil || !groupKeyEqual(curKey, it.key) {
-			flush()
+			if states != nil {
+				rows = append(rows, s.resultRow(curKey, states))
+			}
 			curKey = it.key
 			states = s.newStates()
 		}
-		if err := s.feed(states, it.row); err != nil {
-			return err
-		}
+		s.feed(states, argCols, it.idx)
 	}
-	flush()
-	if len(s.groupBy) == 0 && len(s.out) == 0 {
-		s.out = append(s.out, s.resultRow(Row{}, s.newStates()))
+	if states != nil {
+		rows = append(rows, s.resultRow(curKey, states))
 	}
-	return nil
-}
-
-// Next emits one group per call.
-func (s *SortAgg) Next() (Row, error) {
-	if s.i >= len(s.out) {
-		return nil, io.EOF
+	if len(s.groupBy) == 0 && len(rows) == 0 {
+		rows = append(rows, s.resultRow(Row{}, s.newStates()))
 	}
-	r := s.out[s.i]
-	s.i++
-	return r, nil
+	s.out.rows = rows
+	return s.out.Open()
 }
-
-// Close releases buffered groups.
-func (s *SortAgg) Close() error {
-	s.out = nil
-	return nil
-}
-
-// Columns returns the [group..., aggregates...] schema.
-func (s *SortAgg) Columns() []Col { return s.cols }

@@ -1,13 +1,10 @@
 package exec
 
 // Batch-at-a-time execution. A Batch carries up to ~BatchSize rows in
-// column-major layout plus a selection vector; BatchOperator is the
-// vectorized sibling of the Volcano Operator interface. Access methods
-// produce batches natively (in-situ scan, cache scan, parallel scan) and
-// the hot operators — Filter, Project, Limit, hash-aggregation input —
-// consume them, amortizing per-tuple interface dispatch across the batch.
-// Adapters in both directions let row-only operators keep working
-// unchanged during the migration.
+// column-major layout plus a selection vector; BatchOperator is the one
+// operator interface. Access methods produce batches natively (in-situ
+// scan, cache scan, parallel scan, heap scan) and every operator consumes
+// them, amortizing per-tuple interface dispatch across the batch.
 
 import (
 	"fmt"
@@ -28,7 +25,7 @@ const DefaultBatchSize = 1024
 // physical positions, and Sel — when non-nil — lists the live positions
 // in ascending order (nil means all N positions are live). Producers may
 // reuse a batch between NextBatch calls; consumers that buffer values must
-// copy them out first, exactly like the row contract of Operator.Next.
+// copy them out first.
 type Batch struct {
 	Cols [][]datum.Datum
 	Sel  []int
@@ -74,9 +71,32 @@ func (b *Batch) Row(k int, dst Row) Row {
 	return dst
 }
 
-// BatchOperator is the vectorized iterator interface. NextBatch returns
-// io.EOF when the stream is exhausted; returned batches are owned by the
-// producer and valid until the next call.
+// AppendRow appends one row (len >= width) as a new physical position;
+// the batch must carry no selection vector.
+func (b *Batch) AppendRow(r Row) {
+	for j := range b.Cols {
+		b.Cols[j] = append(b.Cols[j], r[j])
+	}
+	b.N++
+}
+
+// forLive calls fn for every live row: k is its live index (as Row takes
+// it), pos its physical position in the columns.
+func (b *Batch) forLive(fn func(k, pos int)) {
+	if b.Sel == nil {
+		for i := 0; i < b.N; i++ {
+			fn(i, i)
+		}
+		return
+	}
+	for k, i := range b.Sel {
+		fn(k, i)
+	}
+}
+
+// BatchOperator is the iterator interface of every operator. NextBatch
+// returns io.EOF when the stream is exhausted; returned batches are owned
+// by the producer and valid until the next call.
 type BatchOperator interface {
 	Open() error
 	NextBatch() (*Batch, error)
@@ -93,141 +113,6 @@ type BatchOperator interface {
 // tail the limit above truncates.
 type RowBudgeter interface {
 	SetRowBudget(n int64)
-}
-
-// BatchRows adapts a BatchOperator into the row Operator interface, for
-// row-only consumers (sort, join, client drains) above a batch pipeline.
-type BatchRows struct {
-	child BatchOperator
-	b     *Batch
-	k     int
-	buf   Row
-}
-
-// NewBatchRows wraps a batch operator as a row operator.
-func NewBatchRows(child BatchOperator) *BatchRows {
-	return &BatchRows{child: child, buf: make(Row, len(child.Columns()))}
-}
-
-// Batch returns the wrapped batch operator (see AsBatch).
-func (a *BatchRows) Batch() BatchOperator { return a.child }
-
-// Open opens the child.
-func (a *BatchRows) Open() error {
-	a.b, a.k = nil, 0
-	return a.child.Open()
-}
-
-// Next gathers the next live row out of the current batch.
-func (a *BatchRows) Next() (Row, error) {
-	for a.b == nil || a.k >= a.b.Live() {
-		b, err := a.child.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		a.b, a.k = b, 0
-	}
-	if len(a.buf) < len(a.b.Cols) {
-		// Producers may carry more columns than the declared schema (or a
-		// nil schema in tests); size the gather buffer from the data.
-		a.buf = make(Row, len(a.b.Cols))
-	}
-	r := a.b.Row(a.k, a.buf)
-	a.k++
-	return r, nil
-}
-
-// Close closes the child.
-func (a *BatchRows) Close() error { return a.child.Close() }
-
-// Columns returns the child schema.
-func (a *BatchRows) Columns() []Col { return a.child.Columns() }
-
-// RowBatcher adapts a row Operator into the batch interface, so a row-only
-// leaf can feed a vectorized pipeline.
-type RowBatcher struct {
-	child    Operator
-	size     int
-	b        *Batch
-	budget   int64 // max rows to produce in total; -1 = unlimited
-	produced int64
-}
-
-// NewRowBatcher wraps a row operator, grouping size rows per batch
-// (size <= 0 uses DefaultBatchSize).
-func NewRowBatcher(child Operator, size int) *RowBatcher {
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	return &RowBatcher{child: child, size: size, budget: -1}
-}
-
-// SetRowBudget implements RowBudgeter: NextBatch stops pulling the child
-// once n rows have been produced, so a pushed-down LIMIT does not pay for
-// rows past the limit.
-func (r *RowBatcher) SetRowBudget(n int64) { r.budget = n }
-
-// Open opens the child.
-func (r *RowBatcher) Open() error {
-	r.produced = 0
-	return r.child.Open()
-}
-
-// NextBatch accumulates up to size child rows into a column-major batch,
-// never exceeding the remaining row budget.
-func (r *RowBatcher) NextBatch() (*Batch, error) {
-	if r.b == nil {
-		r.b = NewBatch(len(r.child.Columns()), r.size)
-	}
-	target := r.size
-	if r.budget >= 0 {
-		rem := r.budget - r.produced
-		if rem <= 0 {
-			return nil, io.EOF
-		}
-		if int64(target) > rem {
-			target = int(rem)
-		}
-	}
-	b := r.b
-	b.Reset()
-	for b.N < target {
-		row, err := r.child.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		for j := range b.Cols {
-			b.Cols[j] = append(b.Cols[j], row[j])
-		}
-		b.N++
-	}
-	if b.N == 0 {
-		return nil, io.EOF
-	}
-	r.produced += int64(b.N)
-	return b, nil
-}
-
-// Close closes the child.
-func (r *RowBatcher) Close() error { return r.child.Close() }
-
-// Columns returns the child schema.
-func (r *RowBatcher) Columns() []Col { return r.child.Columns() }
-
-// AsBatch extracts the batch-capable view of an operator: either the
-// operator implements BatchOperator natively (scans do), or it is a
-// BatchRows adapter whose inner pipeline can be extended directly.
-func AsBatch(op Operator) (BatchOperator, bool) {
-	if a, ok := op.(*BatchRows); ok {
-		return a.Batch(), true
-	}
-	if b, ok := op.(BatchOperator); ok {
-		return b, true
-	}
-	return nil, false
 }
 
 // BatchFilter drops rows failing the predicate by narrowing the selection
@@ -396,26 +281,3 @@ func (l *BatchLimit) Close() error { return l.child.Close() }
 
 // Columns passes through the child schema.
 func (l *BatchLimit) Columns() []Col { return l.child.Columns() }
-
-// DrainBatches runs a batch operator to completion, returning all live
-// rows (copied). It opens and closes the operator.
-func DrainBatches(op BatchOperator) ([]Row, error) {
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	width := len(op.Columns())
-	var out []Row
-	for {
-		b, err := op.NextBatch()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		for k := 0; k < b.Live(); k++ {
-			out = append(out, b.Row(k, make(Row, width)))
-		}
-	}
-}

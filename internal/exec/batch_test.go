@@ -9,15 +9,44 @@ import (
 	"nodb/internal/expr"
 )
 
-// randomValues builds a Values operator of (int, float, text, date) rows
-// with NULLs sprinkled in, for comparing row and batch pipelines.
-func randomValues(rng *rand.Rand, n int) *Values {
-	cols := []Col{
-		{Name: "i", Type: datum.Int},
-		{Name: "f", Type: datum.Float},
-		{Name: "s", Type: datum.Text},
-		{Name: "d", Type: datum.Date},
+// chunks is a test leaf emitting rows in batches of a fixed size, so the
+// operators above see batch boundaries anywhere.
+type chunks struct {
+	cols []Col
+	rows []Row
+	size int
+	i    int
+}
+
+func chunked(cols []Col, rows []Row, size int) *chunks {
+	return &chunks{cols: cols, rows: rows, size: size}
+}
+
+func (c *chunks) Open() error { c.i = 0; return nil }
+
+func (c *chunks) NextBatch() (*Batch, error) {
+	if c.i >= len(c.rows) {
+		return nil, io.EOF
 	}
+	b := NewBatch(len(c.cols), c.size)
+	for ; c.i < len(c.rows) && b.N < c.size; c.i++ {
+		b.AppendRow(c.rows[c.i])
+	}
+	return b, nil
+}
+
+func (c *chunks) Close() error   { return nil }
+func (c *chunks) Columns() []Col { return c.cols }
+
+var randomCols = []Col{
+	{Name: "i", Type: datum.Int},
+	{Name: "f", Type: datum.Float},
+	{Name: "s", Type: datum.Text},
+	{Name: "d", Type: datum.Date},
+}
+
+// randomRows builds (int, float, text, date) rows with NULLs sprinkled in.
+func randomRows(rng *rand.Rand, n int) []Row {
 	rows := make([]Row, n)
 	for i := range rows {
 		r := Row{
@@ -27,18 +56,9 @@ func randomValues(rng *rand.Rand, n int) *Values {
 			datum.NewDate(int64(rng.Intn(3650))),
 		}
 		if rng.Intn(7) == 0 {
-			r[rng.Intn(4)] = datum.NewNull(cols[rng.Intn(4)].Type)
+			r[rng.Intn(4)] = datum.NewNull(randomCols[rng.Intn(4)].Type)
 		}
 		rows[i] = r
-	}
-	return NewValues(cols, rows)
-}
-
-func drainRows(t *testing.T, op Operator) []Row {
-	t.Helper()
-	rows, err := Drain(op)
-	if err != nil {
-		t.Fatal(err)
 	}
 	return rows
 }
@@ -61,9 +81,9 @@ func sameRows(t *testing.T, label string, a, b []Row) {
 	}
 }
 
-// TestBatchPipelineMatchesRows runs the same filter+project+limit over the
-// row operators and the batch operators (bridged by the two adapters) and
-// requires identical output.
+// TestBatchPipelineMatchesRows runs filter+project+limit over batches of
+// every size and requires the output of a tuple-at-a-time reference
+// evaluation (scalar Eval over each row).
 func TestBatchPipelineMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pred := &expr.BinOp{Op: expr.And,
@@ -77,33 +97,63 @@ func TestBatchPipelineMatchesRows(t *testing.T) {
 	}
 	projCols := []Col{{Name: "i5", Type: datum.Int}, {Name: "s", Type: datum.Text}, {Name: "ff", Type: datum.Float}}
 	for _, limit := range []int64{-1, 0, 7, 1000} {
-		vals := randomValues(rng, 500)
-		var rowRoot Operator = NewProject(NewFilter(vals, pred), projExprs, projCols)
-		if limit >= 0 {
-			rowRoot = NewLimit(rowRoot, limit)
+		rows := randomRows(rng, 500)
+		var want []Row
+		for _, r := range rows {
+			if limit >= 0 && int64(len(want)) >= limit {
+				break
+			}
+			ok, err := expr.TruthyResult(pred, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				continue
+			}
+			out := make(Row, len(projExprs))
+			for i, e := range projExprs {
+				if out[i], err = e.Eval(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want = append(want, out)
 		}
-		want := drainRows(t, rowRoot)
 
 		for _, size := range []int{1, 3, 64, 2048} {
-			var b BatchOperator = NewRowBatcher(vals, size)
+			var b BatchOperator = chunked(randomCols, rows, size)
 			b = NewBatchProject(NewBatchFilter(b, pred), projExprs, projCols)
 			if limit >= 0 {
 				b = NewBatchLimit(b, limit)
 			}
-			got := drainRows(t, NewBatchRows(b))
-			sameRows(t, "limit/size", want, got)
-			// And through DrainBatches directly.
-			got2, err := DrainBatches(b)
+			got, err := Drain(b)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameRows(t, "drainbatches", want, got2)
+			sameRows(t, "limit/size", want, got)
+			// And through the row cursor.
+			cur := NewCursor(b)
+			if err := cur.Open(); err != nil {
+				t.Fatal(err)
+			}
+			var got2 []Row
+			for {
+				r, err := cur.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				got2 = append(got2, CloneRow(r))
+			}
+			cur.Close()
+			sameRows(t, "cursor", want, got2)
 		}
 	}
 }
 
-// TestBatchHashAggMatchesRows compares the vectorized hash-aggregation
-// input against the row path for grouped and global aggregates.
+// TestBatchHashAggMatchesRows compares the vectorized hash aggregation
+// against per-row aggregate states, for grouped and global aggregates.
 func TestBatchHashAggMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	groupBy := []expr.Expr{&expr.ColRef{Index: 2, Type: datum.Text}}
@@ -120,51 +170,65 @@ func TestBatchHashAggMatchesRows(t *testing.T) {
 			gb = nil
 			outCols = cols[1:]
 		}
-		vals := randomValues(rng, 400)
-		want := drainRows(t, NewHashAgg(vals, gb, aggs, outCols))
-
-		hb := NewHashAgg(nil, gb, aggs, outCols)
-		hb.SetBatchInput(NewRowBatcher(vals, 32))
-		got := drainRows(t, hb)
+		rows := randomRows(rng, 400)
+		// Reference: groups in first-seen order, states fed row by row.
+		type group struct {
+			key    Row
+			states []*expr.AggState
+		}
+		var groups []*group
+		for _, r := range rows {
+			var key Row
+			if grouped {
+				key = Row{r[2]}
+			}
+			var g *group
+			for _, c := range groups {
+				if groupKeyEqual(c.key, key) {
+					g = c
+				}
+			}
+			if g == nil {
+				g = &group{key: key}
+				for _, a := range aggs {
+					g.states = append(g.states, expr.NewAggState(a.Kind))
+				}
+				groups = append(groups, g)
+			}
+			g.states[0].Add(datum.NewBool(true))
+			g.states[1].Add(r[0])
+			g.states[2].Add(r[1])
+		}
+		var want []Row
+		for _, g := range groups {
+			out := append(Row{}, g.key...)
+			for _, s := range g.states {
+				out = append(out, s.Result())
+			}
+			want = append(want, out)
+		}
+		got, err := Drain(NewHashAgg(chunked(randomCols, rows, 32), gb, aggs, outCols))
+		if err != nil {
+			t.Fatal(err)
+		}
 		sameRows(t, "hashagg", want, got)
-	}
-}
-
-// TestAsBatch pins the unwrap rules: adapters unwrap, native batch
-// operators pass through, row-only operators don't qualify.
-func TestAsBatch(t *testing.T) {
-	vals := randomValues(rand.New(rand.NewSource(3)), 10)
-	rb := NewRowBatcher(vals, 4)
-	if b, ok := AsBatch(NewBatchRows(rb)); !ok || b != BatchOperator(rb) {
-		t.Error("BatchRows must unwrap to its inner batch operator")
-	}
-	if _, ok := AsBatch(vals); ok {
-		t.Error("Values is row-only and must not register as batch-capable")
 	}
 }
 
 // TestBatchLimitAcrossBatches checks limits landing inside, between, and
 // beyond batches, including over a selection vector.
 func TestBatchLimitAcrossBatches(t *testing.T) {
-	vals := randomValues(rand.New(rand.NewSource(5)), 100)
+	rows := randomRows(rand.New(rand.NewSource(5)), 100)
 	pred := &expr.BinOp{Op: expr.Ge, L: &expr.ColRef{Index: 0}, R: &expr.Const{D: datum.NewInt(30)}}
-	want := drainRows(t, NewLimit(NewFilter(vals, pred), 13))
-	got, err := DrainBatches(NewBatchLimit(NewBatchFilter(NewRowBatcher(vals, 8), pred), 13))
+	var want []Row
+	for _, r := range rows {
+		if ok, _ := expr.TruthyResult(pred, r); ok && len(want) < 13 {
+			want = append(want, r)
+		}
+	}
+	got, err := Drain(NewBatchLimit(NewBatchFilter(chunked(randomCols, rows, 8), pred), 13))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameRows(t, "limit-sel", want, got)
-}
-
-// TestRowBatcherEOF verifies clean EOF behavior on an empty child.
-func TestRowBatcherEOF(t *testing.T) {
-	empty := NewValues(intCols("a"), nil)
-	rb := NewRowBatcher(empty, 16)
-	if err := rb.Open(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rb.NextBatch(); err != io.EOF {
-		t.Fatalf("want io.EOF, got %v", err)
-	}
-	rb.Close()
 }

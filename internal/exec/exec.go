@@ -1,6 +1,10 @@
-// Package exec implements a volcano-style (iterator) execution engine:
-// filter, project, sort, limit, hash aggregation, sort aggregation and hash
-// join operators over rows of datums.
+// Package exec implements the batch-at-a-time execution engine: filter,
+// project, sort, limit, hash aggregation, sort aggregation and hash join
+// operators over column-major batches of datums (BatchOperator). Every
+// access method produces batches natively, and every operator consumes
+// and produces them, from the scan leaves up to the client: the only row
+// view is the gather Cursor that Drain, Count and the public result
+// cursors read through.
 //
 // The same operators execute over every access method — in-situ raw-file
 // scans, cached binary columns and loaded heap files — mirroring how
@@ -10,7 +14,6 @@
 package exec
 
 import (
-	"fmt"
 	"io"
 	"sort"
 
@@ -18,23 +21,15 @@ import (
 	"nodb/internal/expr"
 )
 
-// Row is one tuple flowing between operators. Producers may reuse the
-// backing array between Next calls; operators that buffer rows must copy.
+// Row is one gathered tuple (Cursor, Drain, and the operators that buffer
+// their input). Cursor reuses its backing array between Next calls;
+// callers that retain rows must copy.
 type Row = []datum.Datum
 
 // Col describes one output column of an operator.
 type Col struct {
 	Name string
 	Type datum.Type
-}
-
-// Operator is the volcano iterator interface. Next returns io.EOF when the
-// stream is exhausted.
-type Operator interface {
-	Open() error
-	Next() (Row, error)
-	Close() error
-	Columns() []Col
 }
 
 // CloneRow copies a row so it survives producer reuse.
@@ -44,251 +39,115 @@ func CloneRow(r Row) Row {
 	return out
 }
 
-// Drain runs an operator to completion and returns all rows (copied).
-// It opens and closes the operator. A batch pipeline (BatchRows root)
-// drains batch-at-a-time, copying rows straight out of the batches.
-func Drain(op Operator) ([]Row, error) {
-	if br, ok := op.(*BatchRows); ok {
-		return DrainBatches(br.Batch())
-	}
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	var out []Row
-	for {
-		r, err := op.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, CloneRow(r))
-	}
-}
-
-// Count runs an operator to completion, returning only the row count.
-// A batch pipeline counts whole batches without materializing rows.
-func Count(op Operator) (int64, error) {
-	if br, ok := op.(*BatchRows); ok {
-		return countBatches(br.Batch())
-	}
-	if err := op.Open(); err != nil {
-		return 0, err
-	}
-	defer op.Close()
-	var n int64
-	for {
-		_, err := op.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-		n++
-	}
-}
-
-// countBatches drains a batch operator, summing live rows.
-func countBatches(op BatchOperator) (int64, error) {
-	if err := op.Open(); err != nil {
-		return 0, err
-	}
-	defer op.Close()
-	var n int64
-	for {
-		b, err := op.NextBatch()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-		n += int64(b.Live())
-	}
-}
-
-// Source adapts an external row producer (heap iterator, in-situ scan,
-// generator) into the Operator tree.
-type Source struct {
-	cols  []Col
-	open  func() error
-	next  func() (Row, error)
-	close func() error
-}
-
-// NewSource builds a leaf operator from callbacks; open and close may be
-// nil.
-func NewSource(cols []Col, open func() error, next func() (Row, error), close func() error) *Source {
-	return &Source{cols: cols, open: open, next: next, close: close}
-}
-
-// Open calls the open callback.
-func (s *Source) Open() error {
-	if s.open != nil {
-		return s.open()
-	}
-	return nil
-}
-
-// Next pulls from the callback.
-func (s *Source) Next() (Row, error) { return s.next() }
-
-// Close calls the close callback.
-func (s *Source) Close() error {
-	if s.close != nil {
-		return s.close()
-	}
-	return nil
-}
-
-// Columns returns the source schema.
-func (s *Source) Columns() []Col { return s.cols }
-
-// Values is a fixed in-memory rowset, useful for tests and tiny tables.
-type Values struct {
-	cols []Col
-	rows []Row
-	i    int
-}
-
-// NewValues creates a Values operator.
-func NewValues(cols []Col, rows []Row) *Values {
-	return &Values{cols: cols, rows: rows}
-}
-
-// Open resets the cursor.
-func (v *Values) Open() error { v.i = 0; return nil }
-
-// Next returns the next stored row.
-func (v *Values) Next() (Row, error) {
-	if v.i >= len(v.rows) {
-		return nil, io.EOF
-	}
-	r := v.rows[v.i]
-	v.i++
-	return r, nil
-}
-
-// Close is a no-op.
-func (v *Values) Close() error { return nil }
-
-// Columns returns the schema.
-func (v *Values) Columns() []Col { return v.cols }
-
-// Filter passes through rows satisfying the predicate (NULL = drop).
-type Filter struct {
-	child Operator
-	pred  expr.Expr
-}
-
-// NewFilter wraps child with a predicate.
-func NewFilter(child Operator, pred expr.Expr) *Filter {
-	return &Filter{child: child, pred: pred}
-}
-
-// Open opens the child.
-func (f *Filter) Open() error { return f.child.Open() }
-
-// Next pulls until a row qualifies.
-func (f *Filter) Next() (Row, error) {
-	for {
-		r, err := f.child.Next()
-		if err != nil {
-			return nil, err
-		}
-		ok, err := expr.TruthyResult(f.pred, r)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return r, nil
-		}
-	}
-}
-
-// Close closes the child.
-func (f *Filter) Close() error { return f.child.Close() }
-
-// Columns passes through the child schema.
-func (f *Filter) Columns() []Col { return f.child.Columns() }
-
-// Project computes output expressions over each input row.
-type Project struct {
-	child Operator
-	exprs []expr.Expr
-	cols  []Col
+// Cursor is the row view of a batch pipeline: it gathers the live rows of
+// each batch one at a time, for consumers that hand rows to a client.
+type Cursor struct {
+	child BatchOperator
+	b     *Batch
+	k     int
 	buf   Row
 }
 
-// NewProject wraps child with projection expressions and output schema.
-func NewProject(child Operator, exprs []expr.Expr, cols []Col) *Project {
-	if len(exprs) != len(cols) {
-		panic(fmt.Sprintf("exec: %d exprs but %d cols", len(exprs), len(cols)))
-	}
-	return &Project{child: child, exprs: exprs, cols: cols, buf: make(Row, len(exprs))}
+// NewCursor wraps a batch pipeline in a row cursor.
+func NewCursor(child BatchOperator) *Cursor {
+	return &Cursor{child: child, buf: make(Row, len(child.Columns()))}
 }
 
-// Open opens the child.
-func (p *Project) Open() error { return p.child.Open() }
+// Open opens the pipeline.
+func (c *Cursor) Open() error {
+	c.b, c.k = nil, 0
+	return c.child.Open()
+}
 
-// Next computes the projection (output row reused between calls).
-func (p *Project) Next() (Row, error) {
-	r, err := p.child.Next()
-	if err != nil {
-		return nil, err
-	}
-	for i, e := range p.exprs {
-		v, err := e.Eval(r)
+// Next gathers the next live row; it returns io.EOF at the end of the
+// stream. The returned row is reused by the next call.
+func (c *Cursor) Next() (Row, error) {
+	for c.b == nil || c.k >= c.b.Live() {
+		b, err := c.child.NextBatch()
 		if err != nil {
 			return nil, err
 		}
-		p.buf[i] = v
+		c.b, c.k = b, 0
 	}
-	return p.buf, nil
-}
-
-// Close closes the child.
-func (p *Project) Close() error { return p.child.Close() }
-
-// Columns returns the projected schema.
-func (p *Project) Columns() []Col { return p.cols }
-
-// Limit stops after n rows (n < 0 means no limit).
-type Limit struct {
-	child Operator
-	n     int64
-	seen  int64
-}
-
-// NewLimit wraps child with a row limit.
-func NewLimit(child Operator, n int64) *Limit {
-	return &Limit{child: child, n: n}
-}
-
-// Open opens the child and resets the counter.
-func (l *Limit) Open() error { l.seen = 0; return l.child.Open() }
-
-// Next forwards until the limit is hit.
-func (l *Limit) Next() (Row, error) {
-	if l.n >= 0 && l.seen >= l.n {
-		return nil, io.EOF
+	if len(c.buf) < len(c.b.Cols) {
+		// Producers may carry more columns than the declared schema (or a
+		// nil schema in tests); size the gather buffer from the data.
+		c.buf = make(Row, len(c.b.Cols))
 	}
-	r, err := l.child.Next()
-	if err != nil {
-		return nil, err
-	}
-	l.seen++
+	r := c.b.Row(c.k, c.buf)
+	c.k++
 	return r, nil
 }
 
-// Close closes the child.
-func (l *Limit) Close() error { return l.child.Close() }
+// Close closes the pipeline.
+func (c *Cursor) Close() error { return c.child.Close() }
 
-// Columns passes through the child schema.
-func (l *Limit) Columns() []Col { return l.child.Columns() }
+// Columns returns the pipeline schema.
+func (c *Cursor) Columns() []Col { return c.child.Columns() }
+
+// Drain runs a pipeline to completion and returns all live rows (copied).
+// It opens and closes the operator.
+func Drain(op BatchOperator) ([]Row, error) {
+	var out []Row
+	err := drainChild(op, func(b *Batch) error {
+		for k := 0; k < b.Live(); k++ {
+			out = append(out, b.Row(k, make(Row, len(b.Cols))))
+		}
+		return nil
+	})
+	return out, err
+}
+
+// Count runs a pipeline to completion, returning only the live row count
+// (whole batches are counted without gathering rows).
+func Count(op BatchOperator) (int64, error) {
+	var n int64
+	err := drainChild(op, func(b *Batch) error {
+		n += int64(b.Live())
+		return nil
+	})
+	return n, err
+}
+
+// Materialized emits a fixed row set as batches — the output stage of the
+// operators that must see their whole input first (sort, aggregation), and
+// the leaf for small in-memory results (EXPLAIN's rendered plan).
+type Materialized struct {
+	cols []Col
+	rows []Row
+	i    int
+	b    *Batch
+}
+
+// NewMaterialized creates a batch source over rows (not copied).
+func NewMaterialized(cols []Col, rows []Row) *Materialized {
+	return &Materialized{cols: cols, rows: rows}
+}
+
+// Open rewinds to the first row.
+func (m *Materialized) Open() error { m.i = 0; return nil }
+
+// NextBatch packs the next DefaultBatchSize rows into a reused batch.
+func (m *Materialized) NextBatch() (*Batch, error) {
+	if m.i >= len(m.rows) {
+		return nil, io.EOF
+	}
+	if m.b == nil {
+		m.b = NewBatch(len(m.cols), DefaultBatchSize)
+	}
+	b := m.b
+	b.Reset()
+	for ; m.i < len(m.rows) && b.N < DefaultBatchSize; m.i++ {
+		b.AppendRow(m.rows[m.i])
+	}
+	return b, nil
+}
+
+// Close releases nothing; the rows stay valid for a re-Open.
+func (m *Materialized) Close() error { return nil }
+
+// Columns returns the schema.
+func (m *Materialized) Columns() []Col { return m.cols }
 
 // SortKey orders by an expression over the input row.
 type SortKey struct {
@@ -298,50 +157,44 @@ type SortKey struct {
 
 // Sort materializes the child and emits rows in key order.
 type Sort struct {
-	child Operator
+	child BatchOperator
 	keys  []SortKey
-	rows  []Row
-	i     int
+	out   Materialized
 }
 
 // NewSort wraps child with ORDER BY keys.
-func NewSort(child Operator, keys []SortKey) *Sort {
-	return &Sort{child: child, keys: keys}
+func NewSort(child BatchOperator, keys []SortKey) *Sort {
+	return &Sort{child: child, keys: keys, out: Materialized{cols: child.Columns()}}
 }
 
-// Open drains and sorts the child.
+// Open drains the child, evaluating every key once per batch, and sorts.
 func (s *Sort) Open() error {
-	if err := s.child.Open(); err != nil {
-		return err
-	}
-	defer s.child.Close()
-	s.rows = s.rows[:0]
-	s.i = 0
-	// Precompute key values alongside rows to avoid re-evaluating during
-	// comparisons.
 	type keyed struct {
 		row  Row
 		keys Row
 	}
 	var items []keyed
-	for {
-		r, err := s.child.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		c := CloneRow(r)
-		ks := make(Row, len(s.keys))
+	scratch := make([][]datum.Datum, len(s.keys))
+	vecs := make([][]datum.Datum, len(s.keys))
+	err := drainChild(s.child, func(b *Batch) error {
 		for i, k := range s.keys {
-			v, err := k.E.Eval(c)
+			v, err := evalVec(k.E, b, &scratch[i])
 			if err != nil {
 				return err
 			}
-			ks[i] = v
+			vecs[i] = v
 		}
-		items = append(items, keyed{row: c, keys: ks})
+		b.forLive(func(k, pos int) {
+			ks := make(Row, len(s.keys))
+			for i := range vecs {
+				ks[i] = vecs[i][pos]
+			}
+			items = append(items, keyed{row: b.Row(k, make(Row, len(b.Cols))), keys: ks})
+		})
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	sort.SliceStable(items, func(a, b int) bool {
 		for i, k := range s.keys {
@@ -355,28 +208,45 @@ func (s *Sort) Open() error {
 		}
 		return false
 	})
-	s.rows = make([]Row, len(items))
+	rows := make([]Row, len(items))
 	for i := range items {
-		s.rows[i] = items[i].row
+		rows[i] = items[i].row
 	}
-	return nil
+	s.out.rows = rows
+	return s.out.Open()
 }
 
-// Next emits the next sorted row.
-func (s *Sort) Next() (Row, error) {
-	if s.i >= len(s.rows) {
-		return nil, io.EOF
-	}
-	r := s.rows[s.i]
-	s.i++
-	return r, nil
-}
+// NextBatch emits the next batch of sorted rows.
+func (s *Sort) NextBatch() (*Batch, error) { return s.out.NextBatch() }
 
 // Close releases the materialized rows.
 func (s *Sort) Close() error {
-	s.rows = nil
+	s.out.rows = nil
 	return nil
 }
 
 // Columns passes through the child schema.
 func (s *Sort) Columns() []Col { return s.child.Columns() }
+
+// drainChild opens child, hands every batch to fn and closes it before
+// returning — so the materializing operators (sort, aggregation, the
+// join's build side) release their input before producing any output.
+func drainChild(child BatchOperator, fn func(*Batch) error) error {
+	if err := child.Open(); err != nil {
+		child.Close()
+		return err
+	}
+	for {
+		b, err := child.NextBatch()
+		if err == io.EOF {
+			return child.Close()
+		}
+		if err == nil {
+			err = fn(b)
+		}
+		if err != nil {
+			child.Close()
+			return err
+		}
+	}
+}

@@ -35,7 +35,9 @@ func col(i int) *expr.ColRef  { return &expr.ColRef{Index: i} }
 func lit(v int64) *expr.Const { return &expr.Const{D: datum.NewInt(v)} }
 
 func TestValuesAndDrain(t *testing.T) {
-	v := NewValues(intCols("a"), intRows([]int64{1}, []int64{2}))
+	// Materialized is the in-memory batch leaf (EXPLAIN output, sort and
+	// aggregation results).
+	v := NewMaterialized(intCols("a"), intRows([]int64{1}, []int64{2}))
 	rows, err := Drain(v)
 	if err != nil {
 		t.Fatal(err)
@@ -51,8 +53,8 @@ func TestValuesAndDrain(t *testing.T) {
 }
 
 func TestFilter(t *testing.T) {
-	v := NewValues(intCols("a"), intRows([]int64{1}, []int64{5}, []int64{3}, []int64{7}))
-	f := NewFilter(v, &expr.BinOp{Op: expr.Gt, L: col(0), R: lit(3)})
+	v := NewMaterialized(intCols("a"), intRows([]int64{1}, []int64{5}, []int64{3}, []int64{7}))
+	f := NewBatchFilter(v, &expr.BinOp{Op: expr.Gt, L: col(0), R: lit(3)})
 	rows, err := Drain(f)
 	if err != nil {
 		t.Fatal(err)
@@ -67,8 +69,8 @@ func TestFilterDropsNullPredicate(t *testing.T) {
 		{datum.NewNull(datum.Int)},
 		{datum.NewInt(10)},
 	}
-	v := NewValues(intCols("a"), rows)
-	f := NewFilter(v, &expr.BinOp{Op: expr.Gt, L: col(0), R: lit(3)})
+	v := NewMaterialized(intCols("a"), rows)
+	f := NewBatchFilter(v, &expr.BinOp{Op: expr.Gt, L: col(0), R: lit(3)})
 	got, err := Drain(f)
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +81,8 @@ func TestFilterDropsNullPredicate(t *testing.T) {
 }
 
 func TestProject(t *testing.T) {
-	v := NewValues(intCols("a", "b"), intRows([]int64{3, 4}))
-	p := NewProject(v,
+	v := NewMaterialized(intCols("a", "b"), intRows([]int64{3, 4}))
+	p := NewBatchProject(v,
 		[]expr.Expr{&expr.BinOp{Op: expr.Add, L: col(0), R: col(1)}, col(0)},
 		[]Col{{Name: "sum", Type: datum.Int}, {Name: "a", Type: datum.Int}})
 	rows, err := Drain(p)
@@ -101,27 +103,27 @@ func TestProjectArityPanic(t *testing.T) {
 			t.Error("mismatched exprs/cols must panic")
 		}
 	}()
-	NewProject(NewValues(nil, nil), []expr.Expr{col(0)}, nil)
+	NewBatchProject(NewMaterialized(nil, nil), []expr.Expr{col(0)}, nil)
 }
 
 func TestLimit(t *testing.T) {
-	v := NewValues(intCols("a"), intRows([]int64{1}, []int64{2}, []int64{3}))
-	rows, err := Drain(NewLimit(v, 2))
+	v := NewMaterialized(intCols("a"), intRows([]int64{1}, []int64{2}, []int64{3}))
+	rows, err := Drain(NewBatchLimit(v, 2))
 	if err != nil || len(rows) != 2 {
 		t.Errorf("limit rows = %v err %v", rows, err)
 	}
-	rows, err = Drain(NewLimit(v, 0))
+	rows, err = Drain(NewBatchLimit(v, 0))
 	if err != nil || len(rows) != 0 {
 		t.Errorf("limit 0 = %v", rows)
 	}
-	rows, err = Drain(NewLimit(v, -1))
+	rows, err = Drain(NewBatchLimit(v, -1))
 	if err != nil || len(rows) != 3 {
 		t.Errorf("no limit = %v", rows)
 	}
 }
 
 func TestSortAscDesc(t *testing.T) {
-	v := NewValues(intCols("a", "b"), intRows(
+	v := NewMaterialized(intCols("a", "b"), intRows(
 		[]int64{3, 1}, []int64{1, 2}, []int64{2, 3}, []int64{1, 1}))
 	s := NewSort(v, []SortKey{{E: col(0)}, {E: col(1), Desc: true}})
 	rows, err := Drain(s)
@@ -145,7 +147,7 @@ func TestSortAgainstStdlib(t *testing.T) {
 		rows = append(rows, Row{datum.NewInt(v)})
 		vals = append(vals, v)
 	}
-	s := NewSort(NewValues(intCols("a"), rows), []SortKey{{E: col(0)}})
+	s := NewSort(NewMaterialized(intCols("a"), rows), []SortKey{{E: col(0)}})
 	got, err := Drain(s)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +162,7 @@ func TestSortAgainstStdlib(t *testing.T) {
 
 func TestSortNullsFirst(t *testing.T) {
 	rows := []Row{{datum.NewInt(1)}, {datum.NewNull(datum.Int)}, {datum.NewInt(-5)}}
-	s := NewSort(NewValues(intCols("a"), rows), []SortKey{{E: col(0)}})
+	s := NewSort(NewMaterialized(intCols("a"), rows), []SortKey{{E: col(0)}})
 	got, err := Drain(s)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +181,7 @@ func aggCols(n int) []Col {
 }
 
 func TestHashAggGrouped(t *testing.T) {
-	v := NewValues(intCols("g", "x"), intRows(
+	v := NewMaterialized(intCols("g", "x"), intRows(
 		[]int64{1, 10}, []int64{2, 20}, []int64{1, 30}, []int64{2, 5}, []int64{3, 1}))
 	agg := NewHashAgg(v,
 		[]expr.Expr{col(0)},
@@ -210,7 +212,7 @@ func TestHashAggGrouped(t *testing.T) {
 }
 
 func TestHashAggGlobalEmptyInput(t *testing.T) {
-	v := NewValues(intCols("x"), nil)
+	v := NewMaterialized(intCols("x"), nil)
 	agg := NewHashAgg(v, nil,
 		[]*expr.Aggregate{{Kind: expr.AggCountStar}, {Kind: expr.AggSum, Arg: col(0)}},
 		aggCols(2))
@@ -232,7 +234,7 @@ func TestHashAggNullGroupKeys(t *testing.T) {
 		{datum.NewNull(datum.Int), datum.NewInt(2)},
 		{datum.NewInt(7), datum.NewInt(3)},
 	}
-	agg := NewHashAgg(NewValues(intCols("g", "x"), rows),
+	agg := NewHashAgg(NewMaterialized(intCols("g", "x"), rows),
 		[]expr.Expr{col(0)},
 		[]*expr.Aggregate{{Kind: expr.AggSum, Arg: col(1)}},
 		aggCols(2))
@@ -262,8 +264,8 @@ func TestSortAggMatchesHashAgg(t *testing.T) {
 			{Kind: expr.AggCountStar},
 		}
 	}
-	h := NewHashAgg(NewValues(intCols("g", "x"), rows), groupBy, aggs(), aggCols(5))
-	s := NewSortAgg(NewValues(intCols("g", "x"), rows), groupBy, aggs(), aggCols(5))
+	h := NewHashAgg(NewMaterialized(intCols("g", "x"), rows), groupBy, aggs(), aggCols(5))
+	s := NewSortAgg(NewMaterialized(intCols("g", "x"), rows), groupBy, aggs(), aggCols(5))
 	hr, err := Drain(h)
 	if err != nil {
 		t.Fatal(err)
@@ -297,9 +299,9 @@ func TestSortAggMatchesHashAgg(t *testing.T) {
 }
 
 func TestHashJoin(t *testing.T) {
-	left := NewValues(intCols("id", "lv"), intRows(
+	left := NewMaterialized(intCols("id", "lv"), intRows(
 		[]int64{1, 100}, []int64{2, 200}, []int64{3, 300}))
-	right := NewValues(intCols("fk", "rv"), intRows(
+	right := NewMaterialized(intCols("fk", "rv"), intRows(
 		[]int64{2, 7}, []int64{3, 8}, []int64{3, 9}, []int64{4, 10}))
 	j := NewHashJoin(left, right, []expr.Expr{col(0)}, []expr.Expr{col(0)})
 	rows, err := Drain(j)
@@ -321,8 +323,8 @@ func TestHashJoin(t *testing.T) {
 }
 
 func TestHashJoinNullKeysNeverMatch(t *testing.T) {
-	left := NewValues(intCols("id"), []Row{{datum.NewNull(datum.Int)}, {datum.NewInt(1)}})
-	right := NewValues(intCols("fk"), []Row{{datum.NewNull(datum.Int)}, {datum.NewInt(1)}})
+	left := NewMaterialized(intCols("id"), []Row{{datum.NewNull(datum.Int)}, {datum.NewInt(1)}})
+	right := NewMaterialized(intCols("fk"), []Row{{datum.NewNull(datum.Int)}, {datum.NewInt(1)}})
 	j := NewHashJoin(left, right, []expr.Expr{col(0)}, []expr.Expr{col(0)})
 	rows, err := Drain(j)
 	if err != nil {
@@ -334,8 +336,8 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 }
 
 func TestHashJoinEmptySides(t *testing.T) {
-	empty := NewValues(intCols("a"), nil)
-	full := NewValues(intCols("a"), intRows([]int64{1}))
+	empty := NewMaterialized(intCols("a"), nil)
+	full := NewMaterialized(intCols("a"), intRows([]int64{1}))
 	j := NewHashJoin(empty, full, []expr.Expr{col(0)}, []expr.Expr{col(0)})
 	rows, err := Drain(j)
 	if err != nil || len(rows) != 0 {
@@ -357,58 +359,32 @@ func TestHashJoinAgainstNestedLoop(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		rrows = append(rrows, Row{datum.NewInt(rng.Int63n(50)), datum.NewInt(int64(i))})
 	}
-	j := NewHashJoin(
-		NewValues(intCols("k", "l"), lrows),
-		NewValues(intCols("k", "r"), rrows),
-		[]expr.Expr{col(0)}, []expr.Expr{col(0)})
-	got, err := Drain(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference nested loop.
-	var want int
-	for _, l := range lrows {
-		for _, r := range rrows {
+	// Reference nested loop in the join's output order: probe order, then
+	// build insertion order within each key. The output (~1800 rows)
+	// spans several output batches.
+	var want []Row
+	for _, r := range rrows {
+		for _, l := range lrows {
 			if l[0].Int() == r[0].Int() {
-				want++
+				want = append(want, append(CloneRow(l), r...))
 			}
 		}
 	}
-	if len(got) != want {
-		t.Errorf("hash join %d rows, nested loop %d", len(got), want)
-	}
-}
-
-func TestSourceAdapter(t *testing.T) {
-	i := 0
-	opened, closed := false, false
-	src := NewSource(intCols("n"),
-		func() error { opened = true; i = 0; return nil },
-		func() (Row, error) {
-			if i >= 3 {
-				return nil, io.EOF
-			}
-			i++
-			return Row{datum.NewInt(int64(i))}, nil
-		},
-		func() error { closed = true; return nil },
-	)
-	rows, err := Drain(src)
-	if err != nil || len(rows) != 3 {
-		t.Fatalf("source rows = %v err %v", rows, err)
-	}
-	if !opened || !closed {
-		t.Error("open/close callbacks not invoked")
-	}
-	// Nil callbacks are fine.
-	src2 := NewSource(nil, nil, func() (Row, error) { return nil, io.EOF }, nil)
-	if _, err := Drain(src2); err != nil {
-		t.Error(err)
+	for _, size := range []int{1, 7, 300} {
+		j := NewHashJoin(
+			chunked(intCols("k", "l"), lrows, size),
+			chunked(intCols("k", "r"), rrows, size),
+			[]expr.Expr{col(0)}, []expr.Expr{col(0)})
+		got, err := Drain(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, fmt.Sprintf("join size %d", size), want, got)
 	}
 }
 
 func TestCount(t *testing.T) {
-	v := NewValues(intCols("a"), intRows([]int64{1}, []int64{2}))
+	v := NewMaterialized(intCols("a"), intRows([]int64{1}, []int64{2}))
 	n, err := Count(v)
 	if err != nil || n != 2 {
 		t.Errorf("Count = %d err %v", n, err)
@@ -470,7 +446,7 @@ func TestOrderedBatchSource(t *testing.T) {
 		t.Errorf("finish ran %d times", finished)
 	}
 	// EOF is sticky and does not re-run finish.
-	if _, err := src.Next(); err != io.EOF {
+	if _, err := src.NextBatch(); err != io.EOF {
 		t.Errorf("second EOF = %v", err)
 	}
 	if finished != 1 {

@@ -6,58 +6,13 @@ import (
 	"nodb/internal/qtrace"
 )
 
-// Span-wrapping operators attribute per-operator time and row/batch counts
-// to a qtrace.Span. The planner inserts them ONLY when the query context
-// carries a profile, so the disabled path runs the exact unwrapped
-// operator chain — the ≤1% overhead gate depends on that.
-//
-// The wrappers preserve the type-assertion-driven fast paths the planner
-// and Drain rely on: the batch wrapper is inserted below BatchRows (so
-// Drain's *BatchRows special case still fires), and the scan wrapper
-// implements both Operator and BatchOperator plus RowBudgeter forwarding
-// so AsBatch and LIMIT pushdown see through it.
-
-// SpanRow wraps a row operator.
-type SpanRow struct {
-	child Operator
-	sp    *qtrace.Span
-}
-
-// NewSpanRow wraps child so each Open/Next is timed into sp.
-func NewSpanRow(sp *qtrace.Span, child Operator) *SpanRow {
-	return &SpanRow{child: child, sp: sp}
-}
-
-// Open opens the child, attributing the time (scans lock and decide their
-// access method in Open).
-func (s *SpanRow) Open() error {
-	start := time.Now()
-	err := s.child.Open()
-	s.sp.Observe(time.Since(start), 0, 0)
-	return err
-}
-
-// Next pulls the child, attributing time and rows.
-func (s *SpanRow) Next() (Row, error) {
-	start := time.Now()
-	r, err := s.child.Next()
-	if err != nil {
-		s.sp.Observe(time.Since(start), 0, 0)
-		return nil, err
-	}
-	s.sp.Observe(time.Since(start), 1, 0)
-	return r, nil
-}
-
-// Close closes the child.
-func (s *SpanRow) Close() error { return s.child.Close() }
-
-// Columns returns the child schema.
-func (s *SpanRow) Columns() []Col { return s.child.Columns() }
-
-// SpanBatch wraps a batch operator. ctr, when valid, is bumped once per
-// produced batch on the shared profile — the planner uses it to split
-// compiled-kernel batches from generic vectorized batches.
+// SpanBatch attributes per-operator time and row/batch counts to a
+// qtrace.Span. The planner inserts it ONLY when the query context carries
+// a profile, so the disabled path runs the exact unwrapped operator chain
+// — the ≤1% overhead gate depends on that. It forwards RowBudgeter so
+// LIMIT pushdown sees through it, and hands its span to a child that
+// annotates its own (a guarded scan reports its access-method decision).
+// The clock is read once per batch, never per row.
 type SpanBatch struct {
 	child BatchOperator
 	sp    *qtrace.Span
@@ -68,16 +23,22 @@ type SpanBatch struct {
 
 // NewSpanBatch wraps child so each Open/NextBatch is timed into sp.
 func NewSpanBatch(sp *qtrace.Span, child BatchOperator) *SpanBatch {
+	if a, ok := child.(qtrace.SpanSetter); ok {
+		a.SetTraceSpan(sp)
+	}
 	return &SpanBatch{child: child, sp: sp}
 }
 
-// CountBatches also bumps ctr on p once per produced batch.
+// CountBatches also bumps ctr on p once per produced batch — the planner
+// uses it to split compiled-kernel batches from generic vectorized
+// batches.
 func (s *SpanBatch) CountBatches(p *qtrace.Profile, ctr qtrace.Counter) *SpanBatch {
 	s.p, s.ctr, s.hasC = p, ctr, true
 	return s
 }
 
-// Open opens the child, attributing the time.
+// Open opens the child, attributing the time (scans lock and decide their
+// access method in Open).
 func (s *SpanBatch) Open() error {
 	start := time.Now()
 	err := s.child.Open()
@@ -108,75 +69,6 @@ func (s *SpanBatch) Columns() []Col { return s.child.Columns() }
 
 // SetRowBudget forwards LIMIT pushdown to a budget-capable child.
 func (s *SpanBatch) SetRowBudget(n int64) {
-	if b, ok := s.child.(RowBudgeter); ok {
-		b.SetRowBudget(n)
-	}
-}
-
-// DualOperator is the scan-leaf contract restated (format.ScanOperator
-// without the import cycle): one operator serving both executors.
-type DualOperator interface {
-	Operator
-	BatchOperator
-}
-
-// SpanScan wraps a scan leaf, serving both interfaces so AsBatch and the
-// row-side join consumers both see through it.
-type SpanScan struct {
-	child DualOperator
-	sp    *qtrace.Span
-}
-
-// NewSpanScan wraps a scan leaf. If the child can annotate its own span
-// (GuardedScan reports its access-method decision), it is handed sp.
-func NewSpanScan(sp *qtrace.Span, child DualOperator) *SpanScan {
-	if a, ok := child.(qtrace.SpanSetter); ok {
-		a.SetTraceSpan(sp)
-	}
-	return &SpanScan{child: child, sp: sp}
-}
-
-// Open opens the child, attributing lock-wait and access-method decision
-// time to the scan's span.
-func (s *SpanScan) Open() error {
-	start := time.Now()
-	err := s.child.Open()
-	s.sp.Observe(time.Since(start), 0, 0)
-	return err
-}
-
-// Next pulls one row from the child, attributing time and rows.
-func (s *SpanScan) Next() (Row, error) {
-	start := time.Now()
-	r, err := s.child.Next()
-	if err != nil {
-		s.sp.Observe(time.Since(start), 0, 0)
-		return nil, err
-	}
-	s.sp.Observe(time.Since(start), 1, 0)
-	return r, nil
-}
-
-// NextBatch pulls one batch from the child, attributing time and rows.
-func (s *SpanScan) NextBatch() (*Batch, error) {
-	start := time.Now()
-	b, err := s.child.NextBatch()
-	if err != nil {
-		s.sp.Observe(time.Since(start), 0, 0)
-		return nil, err
-	}
-	s.sp.Observe(time.Since(start), int64(b.Live()), 1)
-	return b, nil
-}
-
-// Close closes the child.
-func (s *SpanScan) Close() error { return s.child.Close() }
-
-// Columns returns the child schema.
-func (s *SpanScan) Columns() []Col { return s.child.Columns() }
-
-// SetRowBudget forwards LIMIT pushdown to a budget-capable child.
-func (s *SpanScan) SetRowBudget(n int64) {
 	if b, ok := s.child.(RowBudgeter); ok {
 		b.SetRowBudget(n)
 	}

@@ -399,6 +399,22 @@ func (t *Table) Close() error {
 	return nil
 }
 
+// CheckPayload verifies that the file still holds the data payload the
+// header declares (dataOff + NRows*rowBytes bytes). A shorter file was
+// truncated or replaced after the header was parsed; that is reported as
+// format.ErrFileChanged, which the guarded scan retries.
+func (t *Table) CheckPayload() error {
+	fi, err := t.f.Stat()
+	if err != nil {
+		return fmt.Errorf("fits: %w", err)
+	}
+	if want := t.dataOff + t.NRows*int64(t.rowBytes); fi.Size() < want {
+		return fmt.Errorf("fits: file holds %d bytes, header declares a payload ending at %d: %w",
+			fi.Size(), want, format.ErrFileChanged)
+	}
+	return nil
+}
+
 // Reader streams the table rows in chunks of whole rows. Readers issue
 // positioned reads (ReadAt) against the shared file handle, so any number
 // of them — e.g. partition workers of a parallel scan — run concurrently.

@@ -107,10 +107,10 @@ func validateBinding(t *Table, tbl *schema.Table) error {
 // sequential recording pass otherwise.
 func (s *Source) OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.BatchOperator, error) {
 	return s.NewScan(ctx, cols, conjuncts, format.ScanPlan{
-		Seq: func(ctx context.Context) format.ScanOperator {
+		Seq: func(ctx context.Context) exec.BatchOperator {
 			return newFITSScan(ctx, s, cols, conjuncts, 0, s.t.NRows, s.Cache, 0, &s.Counters)
 		},
-		Par: func(ctx context.Context, workers int) format.ScanOperator {
+		Par: func(ctx context.Context, workers int) exec.BatchOperator {
 			return newParallelFITSScan(ctx, s, cols, conjuncts, workers)
 		},
 		Refresh: s.refresh,
@@ -188,8 +188,7 @@ func (s *Source) Close() error {
 // needed columns straight into column-major batches (fixed-width rows
 // columnarize trivially), filters with the vectorized kernels, and fills
 // the binary cache as it goes. Cancellation is observed every 256 rows,
-// exactly like the CSV pipeline. It serves both executor interfaces and
-// honors LIMIT row budgets.
+// exactly like the CSV pipeline. It honors LIMIT row budgets.
 type fitsScan struct {
 	ctx       context.Context
 	prof      *qtrace.Profile // nil unless the query context carries one
@@ -204,6 +203,7 @@ type fitsScan struct {
 	cache     *colcache.Cache  // destination: shared (sequential) or worker shard
 	cacheBase int64            // row offset subtracted before cache writes
 	sink      *format.Counters // where Close flushes the scan counters
+	shard     bool             // partition worker: a fresh batch per call
 
 	rd      *Reader
 	views   []colcache.View
@@ -218,7 +218,6 @@ type fitsScan struct {
 	batch     *exec.Batch
 	outBatch  *exec.Batch
 	selBuf    []int
-	rowView   *exec.BatchRows // lazy row adapter over NextBatch
 }
 
 func newFITSScan(ctx context.Context, src *Source, outCols []int, conjuncts []expr.Expr,
@@ -245,14 +244,24 @@ func newFITSScan(ctx context.Context, src *Source, outCols []int, conjuncts []ex
 	}
 }
 
-// Columns implements exec.Operator.
+// Columns implements exec.BatchOperator.
 func (s *fitsScan) Columns() []exec.Col { return s.cols }
 
 // SetRowBudget implements exec.RowBudgeter.
 func (s *fitsScan) SetRowBudget(n int64) { s.budget = n }
 
-// Open positions the range reader and acquires cache views.
+// Exhausted implements format.PartitionScan.
+func (s *fitsScan) Exhausted() bool { return s.row >= s.hi }
+
+// Open checks that the file still holds the payload its header declares —
+// before any row leaves the scan, so a truncated file fails with the
+// retryable format.ErrFileChanged while the guarded scan can still
+// invalidate and retry — then positions the range reader and acquires
+// cache views.
 func (s *fitsScan) Open() error {
+	if err := s.t.CheckPayload(); err != nil {
+		return fmt.Errorf("fits: %s: %w", s.src.Tbl.Name, err)
+	}
 	s.rd = s.t.NewRangeReader(s.lo, s.hi)
 	if s.prof != nil {
 		s.rd.SetReaderAt(qtrace.CountReaderAt(s.prof, s.t.f))
@@ -284,7 +293,7 @@ func (s *fitsScan) Close() error {
 // NextBatch decodes up to one batch of rows, caches the values and
 // narrows the selection vector conjunct by conjunct.
 func (s *fitsScan) NextBatch() (*exec.Batch, error) {
-	if s.batch == nil {
+	if s.batch == nil || s.shard {
 		s.batch = &exec.Batch{Cols: make([][]datum.Datum, s.src.Tbl.NumColumns())}
 		s.outBatch = &exec.Batch{Cols: make([][]datum.Datum, len(s.outCols))}
 	}
@@ -356,22 +365,13 @@ func (s *fitsScan) NextBatch() (*exec.Batch, error) {
 	}
 }
 
-// Next implements exec.Operator through a row adapter over this scan's own
-// NextBatch (the adapter only gathers rows; Open/Close stay on the scan).
-func (s *fitsScan) Next() (exec.Row, error) {
-	if s.rowView == nil {
-		s.rowView = exec.NewBatchRows(s)
-	}
-	return s.rowView.Next()
-}
-
 // newParallelFITSScan partitions [0, NRows) into contiguous row ranges and
 // runs one decode worker per range through the shared worker pool. Each
 // worker fills a private cache shard (absorbed into the shared cache at
 // merge, where the budget applies) and private counters; batches merge
 // back in row order, so results are bit-identical to the sequential pass
 // for any worker count.
-func newParallelFITSScan(ctx context.Context, src *Source, outCols []int, conjuncts []expr.Expr, workers int) format.ScanOperator {
+func newParallelFITSScan(ctx context.Context, src *Source, outCols []int, conjuncts []expr.Expr, workers int) exec.BatchOperator {
 	var shards []*fitsScan
 	return format.NewPool(ctx, format.PoolConfig{
 		Cols: format.OutputSchema(src.Tbl, outCols),
@@ -393,18 +393,14 @@ func newParallelFITSScan(ctx context.Context, src *Source, outCols []int, conjun
 				if src.Cache != nil {
 					shardCache = colcache.New(0)
 				}
-				shards = append(shards,
-					newFITSScan(ctx, src, outCols, conjuncts, lo, hi, shardCache, lo, &format.Counters{}))
+				sh := newFITSScan(ctx, src, outCols, conjuncts, lo, hi, shardCache, lo, &format.Counters{})
+				sh.shard, sh.batchSize = true, format.BatchRowsPerMsg
+				shards = append(shards, sh)
 			}
 			return len(shards), nil
 		},
 		Run: func(part int, emit func(*exec.Batch) bool) error {
-			s := shards[part]
-			if err := s.Open(); err != nil {
-				return err
-			}
-			defer s.Close()
-			return format.PumpRows(s, len(outCols), format.BatchRowsPerMsg, emit)
+			return format.RunPartition(shards[part], emit)
 		},
 		Merge: func(n int, clean bool) error {
 			for _, sh := range shards[:n] {

@@ -138,10 +138,9 @@ type Source interface {
 	RowCount() int64
 	// OpenScan creates (without opening) the leaf operator emitting the
 	// table ordinals in cols for tuples accepted by every conjunct, as
-	// native column-major batches. The returned operator should also
-	// implement exec.Operator for row-at-a-time consumers; wrap with
-	// AsRowOperator otherwise. ctx bounds the execution: implementations
-	// observe cancellation at scan-progress boundaries (every ~256 rows).
+	// native column-major batches. ctx bounds the execution:
+	// implementations observe cancellation at scan-progress boundaries
+	// (every ~256 rows).
 	OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.BatchOperator, error)
 	// Metrics snapshots the auxiliary-structure instrumentation. It waits
 	// for a recording scan of the table in flight, so the picture is
@@ -171,13 +170,6 @@ type Driver interface {
 	Open(tbl *schema.Table, env Env) (Source, error)
 	// Caps reports the format's capabilities (known without opening files).
 	Caps() Caps
-}
-
-// ScanOperator is the dual-interface contract of scan leaves: every access
-// method serves both the vectorized and the row-at-a-time executor.
-type ScanOperator interface {
-	exec.Operator
-	exec.BatchOperator
 }
 
 var (
@@ -251,23 +243,9 @@ func (t Table) Stats() *stats.Table { return t.Src.Stats() }
 // RowCount returns the known row count, or -1.
 func (t Table) RowCount() int64 { return t.Src.RowCount() }
 
-// Scan creates the leaf operator in its row-capable view.
-func (t Table) Scan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.Operator, error) {
-	b, err := t.Src.OpenScan(ctx, cols, conjuncts)
-	if err != nil {
-		return nil, err
-	}
-	return AsRowOperator(b), nil
-}
-
-// AsRowOperator returns the row view of a batch operator: the operator
-// itself when it serves both interfaces (scan leaves do), an adapter
-// otherwise.
-func AsRowOperator(b exec.BatchOperator) exec.Operator {
-	if op, ok := b.(exec.Operator); ok {
-		return op
-	}
-	return exec.NewBatchRows(b)
+// Scan creates the leaf operator.
+func (t Table) Scan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.BatchOperator, error) {
+	return t.Src.OpenScan(ctx, cols, conjuncts)
 }
 
 // EnsureTrailingNewline appends '\n' to f when it is non-empty and its

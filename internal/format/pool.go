@@ -34,8 +34,11 @@ type PoolConfig struct {
 	// returning the partition count. It runs on Open.
 	Start func() (parts int, err error)
 	// Run scans one partition, emitting freshly allocated column-major
-	// batches (the consumer owns them outright). It returns nil on a clean
-	// drain, ErrStopped when emit refused (teardown), or the scan error.
+	// batches (the consumer owns them outright). It returns nil once the
+	// partition's scan reached the end of its section — even when emit
+	// refused the last batch, since the partition's learned state is then
+	// complete — ErrStopped when emit refused earlier (teardown), or the
+	// scan error. RunPartition is the standard body.
 	Run func(part int, emit func(*exec.Batch) bool) error
 	// Merge folds the first n partitions' private state (shards) into the
 	// shared structures. It runs at most once per Open: with every
@@ -121,8 +124,18 @@ func (p *pool) worker(i int, ch chan exec.BatchMsg) {
 }
 
 // send delivers a batch unless the scan is being torn down or the query's
-// context is cancelled (the consumer might no longer be draining).
+// context is cancelled (the consumer might no longer be draining). While
+// the bounded channel has room the send always succeeds — a select with
+// done also ready would pick at random — so a partition whose remaining
+// output fits its channel finishes its section during teardown and keeps
+// its recordings, whatever the scheduling; the first send that would
+// block stops it. Workers still observe cancellation in their scan loops.
 func (p *pool) send(ch chan<- exec.BatchMsg, m exec.BatchMsg) bool {
+	select {
+	case ch <- m:
+		return true
+	default:
+	}
 	select {
 	case ch <- m:
 		return true
@@ -208,33 +221,37 @@ func (p *pool) stop() error {
 	return err
 }
 
-// PumpRows drains a row operator into freshly allocated column-major
-// batches of at most size rows, emitting each. It is the standard body of
-// a partition worker's Run: it returns nil on EOF, ErrStopped when emit
-// refuses (teardown), or the scan error. The caller opens and closes the
-// operator.
-func PumpRows(src exec.Operator, width, size int, emit func(*exec.Batch) bool) error {
-	b := exec.NewBatch(width, size)
+// PartitionScan is the scan a partition worker drains: a batch producer
+// over one section of the input that allocates a fresh batch per call and
+// reports when it has reached the end of its section.
+type PartitionScan interface {
+	exec.BatchOperator
+	Exhausted() bool
+}
+
+// RunPartition is the standard body of a partition worker's Run: it opens
+// s, emits every batch and closes s. A refused emit after s reached the
+// end of its section still counts as a clean drain, so teardown racing
+// the final send (pool.send's select picks at random between a ready
+// channel and done) never discards a complete partition's recordings.
+func RunPartition(s PartitionScan, emit func(*exec.Batch) bool) error {
+	if err := s.Open(); err != nil {
+		return err
+	}
+	defer s.Close()
 	for {
-		r, err := src.Next()
+		b, err := s.NextBatch()
 		if err == io.EOF {
-			if b.N > 0 && !emit(b) {
-				return ErrStopped
-			}
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		for j := range b.Cols {
-			b.Cols[j] = append(b.Cols[j], r[j])
-		}
-		b.N++
-		if b.N == size {
-			if !emit(b) {
-				return ErrStopped
+		if !emit(b) {
+			if s.Exhausted() {
+				return nil
 			}
-			b = exec.NewBatch(width, size)
+			return ErrStopped
 		}
 	}
 }

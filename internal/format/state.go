@@ -358,8 +358,8 @@ func PublishCollectors(st *stats.Table, rows int64, merged []*stats.Collector) {
 // parallel pass for a cold table; Refresh (optional) overrides the
 // row-oriented State.Refresh reconciliation.
 type ScanPlan struct {
-	Seq     func(ctx context.Context) ScanOperator
-	Par     func(ctx context.Context, workers int) ScanOperator
+	Seq     func(ctx context.Context) exec.BatchOperator
+	Par     func(ctx context.Context, workers int) exec.BatchOperator
 	Refresh func() error
 }
 
@@ -381,9 +381,9 @@ func (st *State) NewScan(ctx context.Context, outCols []int, conjuncts []expr.Ex
 	}
 
 	prof := qtrace.FromContext(ctx)
-	var shared func() (ScanOperator, error)
+	var shared func() (exec.BatchOperator, error)
 	if st.Cache != nil && st.Env.CacheBudget <= 0 {
-		shared = func() (ScanOperator, error) {
+		shared = func() (exec.BatchOperator, error) {
 			if st.FileUnchanged() && st.CacheCovers(needed) {
 				st.Counters.ScanStarted(true)
 				prof.Count(qtrace.CtrWarmScans, 1)
@@ -396,7 +396,7 @@ func (st *State) NewScan(ctx context.Context, outCols []int, conjuncts []expr.Ex
 	if refresh == nil {
 		refresh = st.Refresh
 	}
-	exclusive := func() (ScanOperator, bool, error) {
+	exclusive := func() (exec.BatchOperator, bool, error) {
 		if err := refresh(); err != nil {
 			return nil, false, err
 		}

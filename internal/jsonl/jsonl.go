@@ -71,10 +71,10 @@ func (driver) Open(tbl *schema.Table, env format.Env) (format.Source, error) {
 // selective-parse pass otherwise.
 func (s *Source) OpenScan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.BatchOperator, error) {
 	return s.NewScan(ctx, cols, conjuncts, format.ScanPlan{
-		Seq: func(ctx context.Context) format.ScanOperator {
+		Seq: func(ctx context.Context) exec.BatchOperator {
 			return newJSONLScan(ctx, s, cols, conjuncts)
 		},
-		Par: func(ctx context.Context, workers int) format.ScanOperator {
+		Par: func(ctx context.Context, workers int) exec.BatchOperator {
 			return newParallelScan(ctx, s, cols, conjuncts, workers)
 		},
 	}), nil
@@ -100,7 +100,7 @@ type parallelScan struct {
 	shards []*jsonlScan
 }
 
-func newParallelScan(ctx context.Context, src *Source, outCols []int, conjuncts []expr.Expr, workers int) format.ScanOperator {
+func newParallelScan(ctx context.Context, src *Source, outCols []int, conjuncts []expr.Expr, workers int) exec.BatchOperator {
 	p := &parallelScan{ctx: ctx, src: src, outCols: outCols, conjuncts: conjuncts, workers: workers}
 	return format.NewPool(ctx, format.PoolConfig{
 		Cols:    format.OutputSchema(src.Tbl, outCols),
@@ -139,6 +139,7 @@ func (p *parallelScan) start() (int, error) {
 	for i, part := range parts {
 		sh := newJSONLScan(p.ctx, p.src.shard(), p.outCols, p.conjuncts)
 		sh.shard = true
+		sh.batchSize = format.BatchRowsPerMsg
 		sh.section = io.NewSectionReader(ra, part.Start, part.End-part.Start)
 		sh.base = part.Start
 		p.shards[i] = sh
@@ -147,12 +148,7 @@ func (p *parallelScan) start() (int, error) {
 }
 
 func (p *parallelScan) run(part int, emit func(*exec.Batch) bool) error {
-	s := p.shards[part]
-	if err := s.Open(); err != nil {
-		return err
-	}
-	defer s.Close()
-	return format.PumpRows(s, len(p.outCols), format.BatchRowsPerMsg, emit)
+	return format.RunPartition(p.shards[part], emit)
 }
 
 // merge folds the drained shard prefix into the shared structures and —

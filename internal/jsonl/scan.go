@@ -55,10 +55,10 @@ type jsonlScan struct {
 
 	expect int64 // row count the adaptive state predicts; -1 = unknown
 	row    int
+	done   bool // the pass reached the end of the file (finish ran)
 	rowBuf exec.Row
 	gen    []int // generation marks for rowBuf validity
 	curGen int
-	out    exec.Row
 
 	// Per-tuple field map: tupOff[c] is the value start offset of column c
 	// within the current line, valid when tupGen[c] == curGen. tokenized
@@ -78,8 +78,9 @@ type jsonlScan struct {
 	keyBuf     []byte // lowerKey scratch (distinct from strBuf: keys may alias it)
 
 	batchSize int
-	budget    int64
-	batcher   *exec.RowBatcher
+	budget    int64       // LIMIT pushdown row budget; -1 = none
+	produced  int64       // qualifying rows delivered so far
+	batch     *exec.Batch // reused output batch (fresh per call for shards)
 }
 
 func newJSONLScan(ctx context.Context, src *Source, outCols []int, conjuncts []expr.Expr) *jsonlScan {
@@ -97,7 +98,6 @@ func newJSONLScan(ctx context.Context, src *Source, outCols []int, conjuncts []e
 		gen:       make([]int, width),
 		tupOff:    make([]int32, width),
 		tupGen:    make([]int, width),
-		out:       make(exec.Row, len(outCols)),
 		batchSize: src.BatchSize(),
 		budget:    -1,
 	}
@@ -114,16 +114,15 @@ func newJSONLScan(ctx context.Context, src *Source, outCols []int, conjuncts []e
 	return s
 }
 
-// Columns implements exec.Operator.
+// Columns implements exec.BatchOperator.
 func (s *jsonlScan) Columns() []exec.Col { return s.cols }
 
-// SetRowBudget implements exec.RowBudgeter (applied by the batch path).
-func (s *jsonlScan) SetRowBudget(n int64) {
-	s.budget = n
-	if s.batcher != nil {
-		s.batcher.SetRowBudget(n)
-	}
-}
+// SetRowBudget implements exec.RowBudgeter: the scan stops reading once n
+// qualifying tuples have been delivered.
+func (s *jsonlScan) SetRowBudget(n int64) { s.budget = n }
+
+// Exhausted implements format.PartitionScan.
+func (s *jsonlScan) Exhausted() bool { return s.done }
 
 // Open starts the sequential pass.
 func (s *jsonlScan) Open() error {
@@ -143,6 +142,8 @@ func (s *jsonlScan) Open() error {
 	}
 	s.expect = s.src.Rows.Load()
 	s.row = 0
+	s.done = false
+	s.produced = 0
 	s.curGen = 0
 	for i := range s.gen {
 		s.gen[i] = -1
@@ -208,53 +209,33 @@ func (s *jsonlScan) Close() error {
 	return nil
 }
 
-// Next produces the next qualifying tuple's output columns. Cancellation
-// is observed every 256 input tuples.
-func (s *jsonlScan) Next() (exec.Row, error) {
-	for {
-		if s.tick++; s.tick&255 == 0 {
-			if err := s.ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		line, off, err := s.lr.Next()
-		if err == io.EOF {
-			if ferr := s.finish(); ferr != nil {
-				return nil, ferr
-			}
-			return nil, io.EOF
-		}
+// NextBatch implements exec.BatchOperator: it runs the selective
+// pipeline tuple by tuple and appends each qualifying tuple's output
+// columns straight into the batch, until the batch is full, the row
+// budget is met or the file ends. Cancellation is observed every 256
+// input tuples.
+func (s *jsonlScan) NextBatch() (*exec.Batch, error) {
+	target := s.batchSize
+	if s.budget >= 0 && s.budget-s.produced < int64(target) {
+		target = int(s.budget - s.produced)
+	}
+	if s.done || target <= 0 {
+		return nil, io.EOF
+	}
+	if s.batch == nil || s.shard {
+		s.batch = exec.NewBatch(len(s.outCols), target)
+	}
+	b := s.batch
+	b.Reset()
+	for b.N < target {
+		ok, line, err := s.nextTuple()
 		if err != nil {
-			return nil, format.WrapFileErr(s.src.Tbl.Name, err)
+			return nil, err
 		}
-		if isBlank(line) {
-			continue
+		if s.done {
+			break
 		}
-		if s.src.PM != nil {
-			s.src.PM.RecordTupleStart(s.row, off)
-		}
-		s.curGen++
-		s.c.TuplesParsed++
-		s.tokenized = false
-
-		qualifies := true
-		for i, conj := range s.conjuncts {
-			for _, c := range s.conjCols[i] {
-				if _, err := s.value(line, c); err != nil {
-					return nil, err
-				}
-			}
-			ok, err := expr.TruthyResult(conj, s.rowBuf)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				qualifies = false
-				break
-			}
-		}
-		if !qualifies {
-			s.row++
+		if !ok {
 			continue
 		}
 		// Selective tuple formation: only now convert the SELECT columns.
@@ -263,23 +244,64 @@ func (s *jsonlScan) Next() (exec.Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.out[i] = v
+			b.Cols[i] = append(b.Cols[i], v)
 		}
+		b.N++
 		s.row++
-		return s.out, nil
 	}
+	if b.N == 0 {
+		return nil, io.EOF
+	}
+	s.produced += int64(b.N)
+	return b, nil
 }
 
-// NextBatch implements exec.BatchOperator by packing the identical
-// selective pipeline into column-major batches.
-func (s *jsonlScan) NextBatch() (*exec.Batch, error) {
-	if s.batcher == nil {
-		s.batcher = exec.NewRowBatcher(s, s.batchSize)
-		if s.budget >= 0 {
-			s.batcher.SetRowBudget(s.budget)
+// nextTuple reads the next non-blank line and evaluates the conjuncts
+// over it, parsing only the fields they reference. It reports whether the
+// tuple qualifies; a qualifying tuple's row number is left for the caller
+// to advance once its output columns are formed. At the end of the file
+// it runs finish and sets s.done.
+func (s *jsonlScan) nextTuple() (bool, []byte, error) {
+	if s.tick&255 == 0 {
+		if err := s.ctx.Err(); err != nil {
+			return false, nil, err
 		}
 	}
-	return s.batcher.NextBatch()
+	s.tick++
+	line, off, err := s.lr.Next()
+	if err == io.EOF {
+		s.done = true
+		return false, nil, s.finish()
+	}
+	if err != nil {
+		return false, nil, format.WrapFileErr(s.src.Tbl.Name, err)
+	}
+	if isBlank(line) {
+		return false, nil, nil
+	}
+	if s.src.PM != nil {
+		s.src.PM.RecordTupleStart(s.row, off)
+	}
+	s.curGen++
+	s.c.TuplesParsed++
+	s.tokenized = false
+
+	for i, conj := range s.conjuncts {
+		for _, c := range s.conjCols[i] {
+			if _, err := s.value(line, c); err != nil {
+				return false, nil, err
+			}
+		}
+		ok, err := expr.TruthyResult(conj, s.rowBuf)
+		if err != nil {
+			return false, nil, err
+		}
+		if !ok {
+			s.row++
+			return false, nil, nil
+		}
+	}
+	return true, line, nil
 }
 
 // rowError locates a parse failure; partition workers report local rows

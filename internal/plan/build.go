@@ -13,7 +13,7 @@ import (
 // ordinals; the skeleton supplies the scan column lists. It returns the
 // root operator and the layout mapping scope ordinals to positions in the
 // operator's output rows.
-func (bi *binder) buildJoinTree(pushed [][]expr.Expr) (exec.Operator, map[int]int, error) {
+func (bi *binder) buildJoinTree(pushed [][]expr.Expr) (exec.BatchOperator, map[int]int, error) {
 	sk := bi.sk
 	n := len(sk.tables)
 	scanCols := sk.scanCols
@@ -43,8 +43,8 @@ func (bi *binder) buildJoinTree(pushed [][]expr.Expr) (exec.Operator, map[int]in
 	}
 
 	// Build the scan leaves (span-wrapped when profiling; the wrapper keeps
-	// the dual row/batch interface and RowBudgeter pushdown intact).
-	scans := make([]exec.Operator, n)
+	// RowBudgeter pushdown intact).
+	scans := make([]exec.BatchOperator, n)
 	scanSpans := make([]*qtrace.Span, n)
 	for ti := range sk.tables {
 		op, err := bi.tbls[ti].Scan(bi.opts.Ctx, scanCols[ti], pushed[ti])
@@ -147,18 +147,16 @@ func (bi *binder) buildJoinTree(pushed [][]expr.Expr) (exec.Operator, map[int]in
 		buildNew := bi.opts.UseStats && est[ti] <= treeEst
 		if buildNew {
 			// Build on the new (smaller) table; output = new ++ tree.
-			root = bi.spanRow("hash join",
-				exec.NewHashJoin(scans[ti], root, newKeys, shiftRefs(treeKeys, 0)),
-				scanSpans[ti], bi.curSpan)
+			root = bi.spanBatch("hash join", exec.NewHashJoin(scans[ti], root, newKeys, treeKeys),
+				0, false, scanSpans[ti], bi.curSpan)
 			for sc, pos := range layout {
 				layout[sc] = pos + newWidth
 			}
 			addTable(ti, 0)
 		} else {
 			// Build on the accumulated tree; output = tree ++ new.
-			root = bi.spanRow("hash join",
-				exec.NewHashJoin(root, scans[ti], treeKeys, shiftRefs(newKeys, 0)),
-				bi.curSpan, scanSpans[ti])
+			root = bi.spanBatch("hash join", exec.NewHashJoin(root, scans[ti], treeKeys, newKeys),
+				0, false, bi.curSpan, scanSpans[ti])
 			addTable(ti, width)
 		}
 		width += newWidth
@@ -170,20 +168,6 @@ func (bi *binder) buildJoinTree(pushed [][]expr.Expr) (exec.Operator, map[int]in
 	return root, layout, nil
 }
 
-// shiftRefs returns the key expressions unchanged; kept as a named helper
-// for symmetry and future offsetting needs.
-func shiftRefs(keys []expr.Expr, delta int) []expr.Expr {
-	if delta == 0 {
-		return keys
-	}
-	out := make([]expr.Expr, len(keys))
-	for i, k := range keys {
-		c := k.(*expr.ColRef)
-		out[i] = &expr.ColRef{Index: c.Index + delta, Name: c.Name, Type: c.Type}
-	}
-	return out
-}
-
 func indexOf(xs []int, v int) int {
 	for i, x := range xs {
 		if x == v {
@@ -193,14 +177,12 @@ func indexOf(xs []int, v int) int {
 	return -1
 }
 
-// buildAggregate plans the aggregation above root (when broot is non-nil,
-// root is its row-adapter mirror: hash aggregation then consumes the
-// batches directly, sort aggregation reads the mirrored rows). The choice
-// between hash and sort aggregation is statistics-driven: without stats
-// the planner must assume arbitrarily many groups and picks the sort
+// buildAggregate plans the aggregation above root. The choice between
+// hash and sort aggregation is statistics-driven: without stats the
+// planner must assume arbitrarily many groups and picks the sort
 // strategy, with stats it pre-sizes a hash table (Fig 12). Group and
 // aggregate expressions re-bind per execution.
-func (bi *binder) buildAggregate(root exec.Operator, broot exec.BatchOperator, layout map[int]int) (exec.Operator, error) {
+func (bi *binder) buildAggregate(root exec.BatchOperator, layout map[int]int) (exec.BatchOperator, error) {
 	sk := bi.sk
 	rg := make([]expr.Expr, len(sk.groupBy))
 	for i, g := range sk.groupBy {
@@ -241,16 +223,13 @@ func (bi *binder) buildAggregate(root exec.Operator, broot exec.BatchOperator, l
 	// A global aggregate has exactly one group; the hash/sort strategy
 	// question only exists for GROUP BY queries.
 	if !bi.opts.UseStats && len(sk.groupBy) > 0 {
-		return bi.spanRow("sort aggregate", exec.NewSortAgg(root, rg, ra, cols), bi.curSpan), nil
+		return bi.spanBatch("sort aggregate", exec.NewSortAgg(root, rg, ra, cols), 0, false, bi.curSpan), nil
 	}
 	h := exec.NewHashAgg(root, rg, ra, cols)
-	if broot != nil {
-		h.SetBatchInput(broot)
-	}
 	if hint := bi.estimateGroups(sk.groupBy); hint > 0 {
 		h.SizeHint = hint
 	}
-	return bi.spanRow("hash aggregate", h, bi.curSpan), nil
+	return bi.spanBatch("hash aggregate", h, 0, false, bi.curSpan), nil
 }
 
 // estimateGroups pre-sizes the aggregation hash table: the product of the

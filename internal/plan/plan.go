@@ -18,9 +18,7 @@
 //     actual parameters), compiles filter/projection kernels for supported
 //     shapes, and assembles the operator tree.
 //
-// Build composes the two for one-shot planning: placeholders bind during
-// resolution, so statements a skeleton cannot carry (ErrNotCacheable) still
-// plan exactly as before.
+// Build composes the two for one-shot planning.
 //
 // The planner is engine-agnostic: raw in-situ tables (internal/core) and
 // loaded heap tables (internal/storage) both appear behind the Table
@@ -59,7 +57,7 @@ type Table interface {
 	// ctx bounds the execution the operator belongs to: implementations
 	// observe its cancellation at scan-progress boundaries and abort the
 	// pass with ctx.Err().
-	Scan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.Operator, error)
+	Scan(ctx context.Context, cols []int, conjuncts []expr.Expr) (exec.BatchOperator, error)
 }
 
 // Resolver maps table names to access methods.
@@ -74,19 +72,11 @@ type Options struct {
 	// sort-based aggregation — the conservative plan shapes a DBMS picks
 	// without ANALYZE data (Fig 12's "w/o statistics" line).
 	UseStats bool
-	// Vectorize builds a batch-at-a-time pipeline above batch-capable scan
-	// leaves: filters, projections and limits run over column-major
-	// batches (exec.Batch) and hash aggregation consumes batches directly.
-	// Every raw-format scan (CSV, FITS, JSONL) is batch-capable; row-only
-	// leaves (heap scans) and row-only operators (sort, join) keep the
-	// Volcano path, bridged by adapters. Results are identical either way.
-	Vectorize bool
 	// KernelCache, when non-nil, enables the query-shape kernel compiler
 	// (internal/kernel): supported filter conjuncts attach compiled
 	// type-specialized batch closures, and the final filter+project tail of
-	// a vectorized single-table pipeline runs as one fused operator instead
-	// of the generic expression walk. Results are identical; nil disables
-	// compilation.
+	// the pipeline runs as one fused operator instead of the generic
+	// expression walk. Results are identical; nil disables compilation.
 	KernelCache *kernel.Cache
 	// Ctx bounds the execution the plan is built for; it flows into every
 	// scan leaf so a cancelled context aborts running scans promptly. Nil
@@ -105,25 +95,19 @@ type Options struct {
 
 // Result is a built physical plan.
 type Result struct {
-	Root exec.Operator
+	Root exec.BatchOperator
 	Cols []exec.Col
 }
 
 // Build plans a SELECT statement against the resolver in one shot:
-// resolution with immediately bound placeholders, then plan assembly with
-// the table handles resolution just produced (a cached skeleton re-resolves
-// per execution instead; see Skeleton.Bind). Use BuildSkeleton + Bind to
-// amortize resolution across executions.
+// BuildSkeleton then Bind. Use them separately to amortize resolution
+// across executions.
 func Build(sel *sqlparse.Select, r Resolver, opts Options) (*Result, error) {
-	sk, err := buildSkeleton(sel, r, &immediateBinding{params: opts.Params, named: opts.NamedParams})
+	sk, err := BuildSkeleton(sel, r)
 	if err != nil {
 		return nil, err
 	}
-	tbls := make([]Table, len(sk.tables))
-	for i, te := range sk.tables {
-		tbls[i] = te.tbl
-	}
-	return sk.bindResolved(tbls, opts)
+	return sk.Bind(r, opts)
 }
 
 // colInfo is one column visible in the query scope.
@@ -142,17 +126,9 @@ type tableEntry struct {
 	offset int // scope ordinal of the table's first column
 }
 
-// immediateBinding makes resolution bind placeholders on the spot (the
-// one-shot Build path) instead of emitting slots.
-type immediateBinding struct {
-	params []datum.Datum
-	named  map[string]datum.Datum
-}
-
 // builder is the resolution-phase state (skeleton construction).
 type builder struct {
-	resolver  Resolver
-	immediate *immediateBinding // nil: placeholders become expr.Slot
+	resolver Resolver
 
 	tables []tableEntry
 	scope  []colInfo

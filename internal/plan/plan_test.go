@@ -3,7 +3,6 @@ package plan
 import (
 	"context"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 
@@ -32,40 +31,32 @@ func (m *memTable) Columns() []schema.Column { return m.cols }
 func (m *memTable) Stats() *stats.Table      { return m.st }
 func (m *memTable) RowCount() int64          { return int64(len(m.rows)) }
 
-func (m *memTable) Scan(_ context.Context, cols []int, conjuncts []expr.Expr) (exec.Operator, error) {
+func (m *memTable) Scan(_ context.Context, cols []int, conjuncts []expr.Expr) (exec.BatchOperator, error) {
 	m.lastScanCols = append([]int(nil), cols...)
 	m.lastScanConjuncts = append([]expr.Expr(nil), conjuncts...)
 	pred := expr.JoinConjuncts(conjuncts)
-	i := 0
-	out := make(exec.Row, len(cols))
 	outCols := make([]exec.Col, len(cols))
 	for k, c := range cols {
 		outCols[k] = exec.Col{Name: m.cols[c].Name, Type: m.cols[c].Type}
 	}
-	return exec.NewSource(outCols,
-		func() error { i = 0; return nil },
-		func() (exec.Row, error) {
-			for {
-				if i >= len(m.rows) {
-					return nil, io.EOF
-				}
-				row := m.rows[i]
-				i++
-				if pred != nil {
-					ok, err := expr.TruthyResult(pred, row)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						continue
-					}
-				}
-				for k, c := range cols {
-					out[k] = row[c]
-				}
-				return out, nil
+	var rows []exec.Row
+	for _, row := range m.rows {
+		if pred != nil {
+			ok, err := expr.TruthyResult(pred, row)
+			if err != nil {
+				return nil, err
 			}
-		}, nil), nil
+			if !ok {
+				continue
+			}
+		}
+		out := make(exec.Row, len(cols))
+		for k, c := range cols {
+			out[k] = row[c]
+		}
+		rows = append(rows, out)
+	}
+	return exec.NewMaterialized(outCols, rows), nil
 }
 
 type memResolver map[string]*memTable

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -14,12 +13,6 @@ import (
 	"nodb/internal/qtrace"
 	"nodb/internal/sqlparse"
 )
-
-// ErrNotCacheable reports a statement whose plan skeleton cannot be cached
-// because a parameter placeholder sits where resolution needs a concrete
-// literal (an IN list). Callers fall back to per-execution Build, which
-// binds placeholders during resolution.
-var ErrNotCacheable = errors.New("plan: statement is not skeleton-cacheable")
 
 // skeletonBuilds counts skeleton constructions (i.e. full resolution +
 // classification passes); the skeleton-cache tests assert that repeated
@@ -51,13 +44,8 @@ type Skeleton struct {
 }
 
 // BuildSkeleton resolves and classifies sel once, keeping placeholders as
-// re-bindable slots. The error wraps ErrNotCacheable when the statement
-// cannot be represented that way.
+// re-bindable slots.
 func BuildSkeleton(sel *sqlparse.Select, r Resolver) (*Skeleton, error) {
-	return buildSkeleton(sel, r, nil)
-}
-
-func buildSkeleton(sel *sqlparse.Select, r Resolver, imm *immediateBinding) (*Skeleton, error) {
 	skeletonBuilds.Add(1)
 	if len(sel.From) == 0 {
 		return nil, fmt.Errorf("plan: query has no FROM clause")
@@ -65,7 +53,7 @@ func buildSkeleton(sel *sqlparse.Select, r Resolver, imm *immediateBinding) (*Sk
 	if len(sel.Items) == 0 {
 		return nil, fmt.Errorf("plan: empty select list")
 	}
-	b := &builder{resolver: r, immediate: imm}
+	b := &builder{resolver: r}
 
 	// Resolve tables and build the scope.
 	seen := map[string]bool{}
@@ -247,12 +235,6 @@ func (sk *Skeleton) Bind(r Resolver, opts Options) (*Result, error) {
 		}
 		tbls[i] = tbl
 	}
-	return sk.bindResolved(tbls, opts)
-}
-
-// bindResolved is Bind with the access methods already in hand (the
-// one-shot Build path reuses the handles its own resolution produced).
-func (sk *Skeleton) bindResolved(tbls []Table, opts Options) (*Result, error) {
 	if opts.Ctx == nil {
 		opts.Ctx = context.Background()
 	}
@@ -279,28 +261,17 @@ func (bi *binder) bind() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The leaf accepts a LIMIT row budget only when the pipeline between it
+	// and the limit preserves live-row counts: a single-table scan with no
+	// residual filter, aggregation or sort above it.
+	leaf, _ := root.(exec.RowBudgeter)
 
-	// Batch pipeline: when the join tree's root is a batch-capable leaf (a
-	// single-table scan — in-situ, cache or parallel), the hot operators
-	// below stack on the vectorized interface; broot carries that pipeline
-	// and root always mirrors it through a row adapter, so a consumer that
-	// reads rows sees the identical (filtered) stream.
-	var broot exec.BatchOperator
-	var bleaf exec.RowBudgeter // the scan leaf, when it accepts a row budget
-	if bi.opts.Vectorize {
-		if bo, ok := exec.AsBatch(root); ok {
-			broot = bo
-			bleaf, _ = bo.(exec.RowBudgeter)
-		}
-	}
-
-	// Residual filter (multi-table, non-equi). A residual filter breaks
-	// the live-row-count correspondence between the leaf and the pipeline
-	// top, so LIMIT pushdown must not reach past it. With kernels on and
-	// no aggregation the residual is deferred into the fused tail operator
+	// Residual filter (multi-table, non-equi). With kernels on and no
+	// aggregation the residual is deferred into the fused tail operator
 	// instead of its own BatchFilter hop.
 	var fusedPred expr.Expr
 	if len(sk.residual) > 0 {
+		leaf = nil
 		bound, err := bi.bindList(sk.residual)
 		if err != nil {
 			return nil, err
@@ -312,28 +283,22 @@ func (bi *binder) bind() (*Result, error) {
 		if kc != nil {
 			re = kc.Predicate(re)
 		}
-		switch {
-		case broot != nil && kc != nil && !sk.aggregated:
+		if kc != nil && !sk.aggregated {
 			fusedPred = re
-			bleaf = nil
-		case broot != nil:
-			broot = bi.spanBatch("filter", exec.NewBatchFilter(broot, re),
+		} else {
+			root = bi.spanBatch("filter", exec.NewBatchFilter(root, re),
 				qtrace.CtrGenericBatches, true, bi.curSpan)
-			root = exec.NewBatchRows(broot)
-			bleaf = nil
-		default:
-			root = bi.spanRow("filter", exec.NewFilter(root, re), bi.curSpan)
 		}
 	}
 
 	// Aggregation. Select items were rewritten during resolution to
 	// reference the aggregate output layout [groups..., aggs...].
 	if sk.aggregated {
-		root, err = bi.buildAggregate(root, broot, layout)
+		leaf = nil
+		root, err = bi.buildAggregate(root, layout)
 		if err != nil {
 			return nil, err
 		}
-		broot = nil // aggregation emits rows
 	}
 
 	// Final projection. Output types re-derive from the bound expressions,
@@ -358,41 +323,28 @@ func (bi *binder) bind() (*Result, error) {
 		outExprs[i] = e
 		outCols[i] = exec.Col{Name: it.name, Type: typ}
 	}
-	if broot != nil {
-		if kc != nil {
-			broot = bi.spanBatch("fused project", kernel.NewFused(kc, broot, fusedPred, outExprs, outCols),
-				qtrace.CtrKernelBatches, true, bi.curSpan)
-		} else {
-			broot = bi.spanBatch("project", exec.NewBatchProject(broot, outExprs, outCols),
-				qtrace.CtrGenericBatches, true, bi.curSpan)
-		}
-		root = exec.NewBatchRows(broot)
+	if kc != nil {
+		root = bi.spanBatch("fused project", kernel.NewFused(kc, root, fusedPred, outExprs, outCols),
+			qtrace.CtrKernelBatches, true, bi.curSpan)
 	} else {
-		root = bi.spanRow("project", exec.NewProject(root, outExprs, outCols), bi.curSpan)
+		root = bi.spanBatch("project", exec.NewBatchProject(root, outExprs, outCols),
+			qtrace.CtrGenericBatches, true, bi.curSpan)
 	}
 
-	// ORDER BY over the projection output (sort materializes rows, so the
-	// batch pipeline ends here when present; root already mirrors it).
+	// ORDER BY over the projection output.
 	if len(sk.orderBy) > 0 {
-		broot = nil
-		root = bi.spanRow("sort", exec.NewSort(root, sk.orderBy), bi.curSpan)
+		leaf = nil
+		root = bi.spanBatch("sort", exec.NewSort(root, sk.orderBy), 0, false, bi.curSpan)
 	}
 
-	// LIMIT. When the batch pipeline between the scan leaf and the limit
-	// preserves live-row counts (projections only, conjuncts evaluated
-	// inside the scan), the limit also flows into the leaf as a row
-	// budget: the scan stops at the limit instead of materializing one
-	// full batch past it.
+	// LIMIT, also pushed into the leaf as a row budget when it can take
+	// one: the scan stops at the limit instead of materializing one full
+	// batch past it.
 	if sk.limit >= 0 {
-		if broot != nil {
-			if bleaf != nil {
-				bleaf.SetRowBudget(sk.limit)
-			}
-			bl := bi.spanBatch("limit", exec.NewBatchLimit(broot, sk.limit), 0, false, bi.curSpan)
-			root = exec.NewBatchRows(bl)
-		} else {
-			root = bi.spanRow("limit", exec.NewLimit(root, sk.limit), bi.curSpan)
+		if leaf != nil {
+			leaf.SetRowBudget(sk.limit)
 		}
+		root = bi.spanBatch("limit", exec.NewBatchLimit(root, sk.limit), 0, false, bi.curSpan)
 	}
 	if bi.prof != nil {
 		bi.prof.SetRoot(bi.curSpan)

@@ -10,34 +10,20 @@ import (
 // row/batch counts attribute to a span tree mirroring the plan shape.
 // With no profile every helper returns the operator untouched — the
 // disabled path assembles the exact same chain as before this layer
-// existed, preserving both the overhead gate and the type-assertion fast
-// paths (AsBatch, Drain's *BatchRows case, RowBudgeter pushdown).
+// existed, preserving both the overhead gate and RowBudgeter pushdown.
 
-// spanScan wraps a scan leaf. Dual-interface leaves (every format scan)
-// keep both executor views; row-only leaves (heap tables) keep the row
-// view. Returns the leaf's span for parent construction.
-func (bi *binder) spanScan(label string, op exec.Operator) (exec.Operator, *qtrace.Span) {
+// spanScan wraps a scan leaf, returning the leaf's span for parent
+// construction.
+func (bi *binder) spanScan(label string, op exec.BatchOperator) (exec.BatchOperator, *qtrace.Span) {
 	if bi.prof == nil {
 		return op, nil
 	}
 	sp := qtrace.NewSpan(label)
-	if dual, ok := op.(exec.DualOperator); ok {
-		return exec.NewSpanScan(sp, dual), sp
-	}
-	return exec.NewSpanRow(sp, op), sp
+	return exec.NewSpanBatch(sp, op), sp
 }
 
-// spanRow wraps a row operator with a span over the given children.
-func (bi *binder) spanRow(label string, op exec.Operator, children ...*qtrace.Span) exec.Operator {
-	if bi.prof == nil {
-		return op
-	}
-	bi.curSpan = qtrace.NewSpan(label, compactSpans(children)...)
-	return exec.NewSpanRow(bi.curSpan, op)
-}
-
-// spanBatch wraps a batch operator with a span over the given children.
-// When counted, produced batches also bump ctr on the profile — the
+// spanBatch wraps an operator with a span over the given children. When
+// counted, produced batches also bump ctr on the profile — the
 // kernel-versus-generic vectorized split.
 func (bi *binder) spanBatch(label string, op exec.BatchOperator, ctr qtrace.Counter, counted bool, children ...*qtrace.Span) exec.BatchOperator {
 	if bi.prof == nil {

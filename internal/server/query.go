@@ -154,14 +154,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// the request asks with ?profile=1 — a trailer on the NDJSON stream.
 	prof := qtrace.New(req.SQL)
 	s.insp.Start(prof)
-	defer func() {
+	recorded := false
+	record := func() {
+		if recorded {
+			return
+		}
+		recorded = true
 		snap := s.insp.Finish(prof)
 		if s.cfg.SlowQuery > 0 && time.Duration(snap.WallNS) >= s.cfg.SlowQuery {
 			s.cfg.SlowLogf("slow query (%.1fms): %s\n\t%s",
 				float64(snap.WallNS)/1e6, snap.SQL,
 				strings.Join(snap.RenderText(true), "\n\t"))
 		}
-	}()
+	}
+	defer record()
 	wantProfile := r.URL.Query().Get("profile") == "1"
 
 	// Admission: bounded slots, bounded queue, typed rejections. Wait time
@@ -264,15 +270,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rows.Close()
 
-	s.streamRows(ctx, cancel, w, rows, maxRows, start, finish, prof, wantProfile)
+	s.streamRows(ctx, cancel, w, rows, maxRows, start, finish, record, prof, wantProfile)
 }
 
 // streamRows writes the NDJSON response: a header line with the result
 // schema, one JSON array per row, and a trailer with totals. Budgets stop
 // the stream by cancelling the query context, so the engine's cursor
-// tears down the same way a client disconnect would.
+// tears down the same way a client disconnect would. The response flushes
+// once flushBytes have accumulated, and the query is recorded as finished
+// (record: the /debug/queries ring and the slow-query log) before the
+// trailer is written — so a client that has read the whole response, or
+// any response short enough never to flush early, finds it recorded.
 func (s *Server) streamRows(ctx context.Context, cancel context.CancelFunc, w http.ResponseWriter,
-	rows *nodb.Rows, maxRows int64, start time.Time, finish func(string, error),
+	rows *nodb.Rows, maxRows int64, start time.Time, finish func(string, error), record func(),
 	prof *qtrace.Profile, wantProfile bool) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -291,11 +301,8 @@ func (s *Server) streamRows(ctx context.Context, cancel context.CancelFunc, w ht
 		finish("canceled", err)
 		return
 	}
-	if flusher != nil {
-		flusher.Flush()
-	}
 
-	var n int64
+	var n, flushed int64
 	truncated := false
 	rowBuf := make([]any, len(cols))
 	for rows.Next() {
@@ -310,8 +317,9 @@ func (s *Server) streamRows(ctx context.Context, cancel context.CancelFunc, w ht
 		}
 		n++
 		if n%64 == 0 {
-			if flusher != nil {
+			if flusher != nil && cw.n-flushed >= flushBytes {
 				flusher.Flush()
+				flushed = cw.n
 			}
 			if ctx.Err() != nil {
 				break // deadline/cancel; the cause surfaces via rows.Err below
@@ -337,6 +345,10 @@ func (s *Server) streamRows(ctx context.Context, cancel context.CancelFunc, w ht
 		err = nil // budget cut is a success with truncated=true, not an error
 	}
 	s.m.rowsReturned.Add(n)
+	// Close the cursor so the execute phase and row counters are final,
+	// then record the query before the trailer leaves.
+	rows.Close()
+	record()
 	if err != nil {
 		kind := errKind(err)
 		finish(outcomeFor(kind), err)
@@ -350,9 +362,7 @@ func (s *Server) streamRows(ctx context.Context, cancel context.CancelFunc, w ht
 		})
 	}
 	if wantProfile {
-		// Close the cursor first so the execute phase and row counters are
-		// final, then append the profile as one extra NDJSON line.
-		rows.Close()
+		// Append the profile as one extra NDJSON line.
 		_ = enc.Encode(map[string]any{"profile": prof.Snapshot()})
 	}
 	s.m.bytesReturned.Add(cw.n)
@@ -360,6 +370,11 @@ func (s *Server) streamRows(ctx context.Context, cancel context.CancelFunc, w ht
 		flusher.Flush()
 	}
 }
+
+// flushBytes is how much NDJSON the stream buffers between flushes: large
+// results still stream, small ones leave in one piece after the query is
+// recorded.
+const flushBytes = 4 << 10
 
 // countingWriter tracks response-body bytes for the byte budget and the
 // bytes-returned counter.

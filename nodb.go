@@ -133,14 +133,9 @@ type Options struct {
 	// or cache budget (the budgets cap memory that per-worker shards would
 	// otherwise exceed).
 	Parallelism int
-	// BatchSize is how many rows one vectorized execution batch carries
-	// between operators (0 = 1024). Results are identical for any
-	// setting >= 1.
+	// BatchSize is how many rows one scan batch carries to the operators
+	// above it (0 = 1024). Results are identical for any setting >= 1.
 	BatchSize int
-	// DisableVectorized forces row-at-a-time execution instead of the
-	// default vectorized batch pipeline. Results are identical; the switch
-	// exists for measurement and as an escape hatch.
-	DisableVectorized bool
 	// PlanCacheSize caps the prepared-statement cache (entries; 0 = 256).
 	// Statements are cached by normalized SQL and shared across sessions;
 	// each entry carries the statement's resolved plan skeleton, so
@@ -356,20 +351,19 @@ func Open(cat *Catalog, opts Options) (*DB, error) {
 		return nil, err
 	}
 	eng, err := core.Open(cat.cat, core.Options{
-		Mode:              opts.Mode.coreMode(),
-		PMBudget:          opts.PositionalMapBudget,
-		CacheBudget:       opts.CacheBudget,
-		Statistics:        !opts.DisableStatistics,
-		PMSpillDir:        opts.SpillDir,
-		DataDir:           opts.DataDir,
-		Parallelism:       opts.Parallelism,
-		BatchSize:         opts.BatchSize,
-		DisableVectorized: opts.DisableVectorized,
-		PlanCacheSize:     opts.PlanCacheSize,
-		DisableKernels:    opts.DisableKernels,
-		KernelCacheSize:   opts.KernelCacheSize,
-		ScanRetries:       opts.ScanRetries,
-		RetryBackoff:      opts.RetryBackoff,
+		Mode:            opts.Mode.coreMode(),
+		PMBudget:        opts.PositionalMapBudget,
+		CacheBudget:     opts.CacheBudget,
+		Statistics:      !opts.DisableStatistics,
+		PMSpillDir:      opts.SpillDir,
+		DataDir:         opts.DataDir,
+		Parallelism:     opts.Parallelism,
+		BatchSize:       opts.BatchSize,
+		PlanCacheSize:   opts.PlanCacheSize,
+		DisableKernels:  opts.DisableKernels,
+		KernelCacheSize: opts.KernelCacheSize,
+		ScanRetries:     opts.ScanRetries,
+		RetryBackoff:    opts.RetryBackoff,
 		Sidecar: core.SidecarOptions{
 			Enable:   opts.Sidecar.Enable,
 			Dir:      opts.Sidecar.Dir,

@@ -30,7 +30,7 @@ import (
 // session. Closing releases the table locks and worker goroutines of the
 // execution, and happens automatically when the stream ends or errors.
 type Rows struct {
-	op   exec.Operator
+	op   *exec.Cursor
 	cols []Column
 	cur  []Value
 	err  error
@@ -391,8 +391,9 @@ func (db *DB) queryPrepared(ctx context.Context, p *core.Prepared, pos []datum.D
 		return nil, err
 	}
 	endExec := prof.Enter(qtrace.PhaseExecute)
-	if err := op.Open(); err != nil {
-		op.Close() // release any partially acquired resources
+	cur := exec.NewCursor(op)
+	if err := cur.Open(); err != nil {
+		cur.Close() // release any partially acquired resources
 		endExec()
 		if prof != nil {
 			prof.SetError(err.Error())
@@ -404,7 +405,7 @@ func (db *DB) queryPrepared(ctx context.Context, p *core.Prepared, pos []datum.D
 	for i, c := range cols {
 		out[i] = Column{Name: c.Name, Type: c.Type}
 	}
-	r := &Rows{op: op, cols: out}
+	r := &Rows{op: cur, cols: out}
 	if prof != nil {
 		r.prof, r.endExec = prof, endExec
 	}
